@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
+.PHONY: all check build test lint faultcheck statecheck perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
 
 all: check
 
@@ -26,7 +26,8 @@ lint:
 # verifier's facts at runtime; --force because dune does not track env
 # vars), both smoke benches asserted crash-free under NYX_DOMAINS=4
 # (hotpath additionally fails if the before/after gears diverge or the
-# speedup drops below 2x), and the static-vs-dynamic conformance gate.
+# speedup drops below 2x), the static-vs-dynamic conformance gate and
+# the host-time benchmark's output checks.
 check:
 	dune build @all && dune runtest
 	$(MAKE) lint
@@ -38,6 +39,7 @@ check:
 	$(MAKE) bench-peer
 	$(MAKE) faultcheck
 	$(MAKE) statecheck
+	$(MAKE) perfbench-check
 
 # Fault-injection smoke campaign (lib/resilience): runs a full campaign
 # with every fault site armed at 2%, asserts zero aborted faults (every
@@ -57,6 +59,18 @@ faultcheck:
 statecheck:
 	dune build @all
 	dune exec bench/main.exe -- statecheck
+
+# Output checks of the host-time benchmark (perfbench/): crash replay,
+# same-seed passes, checkpoint round-trips, traced == untraced, fleets
+# on 2 domains == 1, and (typed-dynamic --trace 1 only) resume from a
+# mid-run checkpoint == the straight run. nyxbench exits 0 even when a
+# check fails, so each run's last stdout line, one JSON object, must
+# report "correct": true and "failed": 0.
+PERFBENCH_VERDICT = python3 -c 'import json, sys; lines = sys.stdin.readlines(); sys.stdout.writelines(lines); r = json.loads(lines[-1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else "perfbench: correct=%s failed=%s" % (r["correct"], r["failed"]))'
+
+perfbench-check:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 | $(PERFBENCH_VERDICT)
+	python3 perfbench/run.py --workload typed-dynamic --seed 1 --seconds 1 --trace 1 | $(PERFBENCH_VERDICT)
 
 # Per-phase snapshot-cost profiles (lib/obs): a short profiled campaign
 # per flagship target, table on stdout, JSON artifact next to the

@@ -85,6 +85,14 @@ let write_csv name lines =
       List.iter (fun l -> output_string oc (l ^ "\n")) lines);
   Printf.printf "  [csv] %s\n%!" path
 
+(* A BENCH_*.json-style artifact, written to [path] (relative to the
+   working directory, not [out_dir]). *)
+let write_json path json =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc (json ^ "\n"));
+  Printf.printf "  [json] %s\n%!" path
+
 (* ------------------------------------------------------------------ *)
 (* The campaign matrix: fuzzer x target x repetition, computed lazily. *)
 
@@ -1092,11 +1100,7 @@ let parallel_smoke () =
       dedup_target dedup_n frontier (hit_json synced_hit) (hit_json observer_hit)
       mean_speedup all_identical
   in
-  let path = "BENCH_parallel.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_parallel.json" json;
   if not all_identical then
     failwith "parallel_smoke: fleet results differ across domain counts";
   match Sys.getenv_opt "NYX_BENCH_SCALE_GATE" with
@@ -1308,11 +1312,7 @@ let hotpath () =
               Printf.sprintf "    \"%s\": {\"before\": %.1f, \"after\": %.1f}" name b a)
             phases))
   in
-  let path = "BENCH_hotpath.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_hotpath.json" json;
   if speedup < 2.0 then failwith "hotpath: expected >= 2x execs/sec on the smoke campaign"
 
 (* ------------------------------------------------------------------ *)
@@ -1506,11 +1506,8 @@ let faultcheck () =
       pres.Report.faults_recovered pres.Report.faults_aborted
       pstats.Report.peer_desyncs pstats.Report.peer_quarantines
   in
-  let path = "FAULTCHECK.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n  faultcheck OK\n%!" path
+  write_json "FAULTCHECK.json" json;
+  Printf.printf "  faultcheck OK\n%!"
 
 (* ------------------------------------------------------------------ *)
 (* Static-vs-dynamic boundary conformance (make statecheck / CI): on
@@ -1619,11 +1616,7 @@ let statecheck () =
                 name progs obs feas residue viol)
             rows))
   in
-  let path = "STATECHECK.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n%!" path;
+  write_json "STATECHECK.json" json;
   if !total_viol > 0 then
     failwith
       (Printf.sprintf
@@ -1834,11 +1827,7 @@ let snapshot_matrix () =
             prior_rows))
       prior_wins !wins (List.length names)
   in
-  let path = "BENCH_snapshot.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_snapshot.json" json;
   match Sys.getenv_opt "NYX_BENCH_SNAP_GATE" with
   | None -> ()
   | Some _ ->
@@ -1999,11 +1988,7 @@ let mutation_matrix () =
             rows))
       !wins (List.length names)
   in
-  let path = "BENCH_mutation.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_mutation.json" json;
   match Sys.getenv_opt "NYX_BENCH_MUT_GATE" with
   | None -> ()
   | Some _ ->
@@ -2154,12 +2139,7 @@ let peer_matrix () =
       fault_spec budget_ns !wins
       (String.concat ",\n" (List.map row_json rows))
   in
-  let path = "BENCH_peer.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json ^ "\n"));
-  Printf.printf "  [json] %s\n" path;
+  write_json "BENCH_peer.json" json;
   match Sys.getenv_opt "NYX_BENCH_PEER_GATE" with
   | None -> ()
   | Some _ ->

@@ -68,9 +68,11 @@ type state = {
   policy : Policy.t;
   mut_rng : Nyx_sim.Rng.t;
   engine : Nyx_spec.Mutation_engine.t;
-  dict : bytes list;
-  max_ops : int;
-  plan : Nyx_resilience.Plan.t option;  (* armed fault plan, if any *)
+  (* [dict], [max_ops] and [plan] are set once, after [boot]: derived
+     from the seeds by [start], or read back by [restore]. *)
+  mutable dict : bytes list;
+  mutable max_ops : int;
+  mutable plan : Nyx_resilience.Plan.t option;  (* armed fault plan, if any *)
   static_prior : bool;
       (* feed the Dataflow boundary prior to probes; off when a custom
          op handler is installed (its effects are outside the static
@@ -316,6 +318,105 @@ let capture st : Checkpoint.t =
       Option.map Nyx_peer.Peer_driver.state (Executor.peer_driver st.exec);
   }
 
+(* The inverse of [capture]'s config fields: the config to re-boot a
+   checkpointed campaign with. *)
+let config_of_checkpoint (ckpt : Checkpoint.t) =
+  let parsed = function
+    | Ok k -> k
+    | Error m -> invalid_arg ("Campaign.resume: " ^ m)
+  in
+  let policy = parsed (Policy.of_name ckpt.Checkpoint.c_policy) in
+  let engine = parsed (Engines.of_name ckpt.Checkpoint.c_mut_engine) in
+  {
+    policy;
+    budget_ns = ckpt.Checkpoint.c_budget_ns;
+    max_execs = ckpt.Checkpoint.c_max_execs;
+    seed = ckpt.Checkpoint.c_seed;
+    asan = ckpt.Checkpoint.c_asan;
+    stop_on_solve = ckpt.Checkpoint.c_stop_on_solve;
+    trim = ckpt.Checkpoint.c_trim;
+    sample_interval_ns = ckpt.Checkpoint.c_sample_interval_ns;
+    engine;
+    mutator_weights =
+      List.map
+        (fun (n, bits) -> (n, Int64.float_of_bits bits))
+        ckpt.Checkpoint.c_mut_weights;
+  }
+
+(* The inverse of [capture], field by field, applied to a state freshly
+   booted from [config_of_checkpoint]. Boot drew the RNG chain from the
+   seed; every RNG state restored here overwrites those draws. *)
+let restore ~spec st (ckpt : Checkpoint.t) =
+  (match (ckpt.Checkpoint.c_peer, Executor.peer_driver st.exec) with
+  | Some s, Some d -> Nyx_peer.Peer_driver.restore_state d s
+  | _ -> ());
+  (match (st.prof, ckpt.Checkpoint.c_profile) with
+  | Some p, Some s -> Nyx_obs.Profile.restore_state p s
+  | _ -> ());
+  Nyx_sim.Rng.set_state st.rng ckpt.Checkpoint.c_sched_rng;
+  Policy.restore_state st.policy ckpt.Checkpoint.c_policy_state;
+  Nyx_sim.Rng.set_state st.mut_rng ckpt.Checkpoint.c_mut_rng;
+  Nyx_spec.Mutation_engine.restore_state st.engine ckpt.Checkpoint.c_mut_state;
+  st.plan <-
+    Option.map
+      (fun (spec_str, pstate) ->
+        let sp =
+          match Nyx_resilience.Plan.parse_spec spec_str with
+          | Ok sp -> sp
+          | Error m -> invalid_arg ("Campaign.resume: stored fault spec: " ^ m)
+        in
+        (* Dummy-seeded: only the restored state matters. *)
+        let p = Nyx_resilience.Plan.create sp (Nyx_sim.Rng.create 0) in
+        Nyx_resilience.Plan.restore_state p pstate;
+        Executor.arm_faults st.exec p;
+        p)
+      ckpt.Checkpoint.c_faults;
+  (* Rebuild the corpus oldest-first so ids re-assign to their original
+     values (Corpus.add numbers sequentially). *)
+  List.iter
+    (fun (e : Checkpoint.corpus_entry) ->
+      let program =
+        match
+          Nyx_spec.Program.parse spec.Nyx_spec.Net_spec.spec
+            e.Checkpoint.ce_program
+        with
+        | Ok p -> p
+        | Error m -> invalid_arg ("Campaign.resume: corpus entry: " ^ m)
+      in
+      ignore
+        (Corpus.add st.corpus ~program ~exec_ns:e.Checkpoint.ce_exec_ns
+           ~discovered_ns:e.Checkpoint.ce_discovered_ns
+           ~state_code:e.Checkpoint.ce_state_code))
+    ckpt.Checkpoint.c_corpus;
+  Coverage.Cumulative.load_state st.cumulative ckpt.Checkpoint.c_virgin;
+  let load_timeline timeline =
+    List.iter (fun (t, bits) ->
+        Nyx_sim.Stats.Timeline.record timeline t (Int64.float_of_bits bits))
+  in
+  load_timeline st.timeline ckpt.Checkpoint.c_timeline;
+  load_timeline st.exec_timeline ckpt.Checkpoint.c_exec_timeline;
+  st.crashes <-
+    List.map
+      (fun (c : Checkpoint.crash) ->
+        {
+          Report.kind = c.Checkpoint.cr_kind;
+          detail = c.Checkpoint.cr_detail;
+          found_ns = c.Checkpoint.cr_found_ns;
+          found_exec = c.Checkpoint.cr_found_exec;
+          input = c.Checkpoint.cr_input;
+        })
+      ckpt.Checkpoint.c_crashes;
+  Executor.engine_restore_checkpoint st.exec ckpt.Checkpoint.c_engine;
+  (* Boot charged its costs onto the fresh clock; jump to the campaign's
+     checkpointed virtual time, which already accounts for them. *)
+  Nyx_sim.Clock.set_ns (Executor.clock st.exec) ckpt.Checkpoint.c_clock_ns;
+  st.ck_last <- ckpt.Checkpoint.c_clock_ns;
+  st.execs <- ckpt.Checkpoint.c_execs;
+  st.solved_ns <- ckpt.Checkpoint.c_solved_ns;
+  st.last_sample <- ckpt.Checkpoint.c_last_sample;
+  st.dict <- ckpt.Checkpoint.c_dict;
+  st.max_ops <- ckpt.Checkpoint.c_max_ops
+
 let maybe_checkpoint st =
   match st.ck with
   | None -> ()
@@ -394,57 +495,67 @@ let trace_move st =
       ]
   | _ -> ()
 
+(* One reuse round (§3.4): up to [Policy.reuse_count] mutants of [base]
+   — mutate, execute, triage, credit — stopping early at the budget or a
+   sync barrier. The first [frozen] ops of [base] are the fixed prefix (0
+   for a round from the root snapshot) and [exec] runs one mutant.
+   Returns whether any mutant was novel, with the summed [exec_ns] and
+   count of the executions, for the dynamic policy's cost model. *)
+let reuse_round st ~input_id ~frozen ~max_ops ~exec base =
+  let ctx =
+    {
+      Nyx_spec.Mutation_engine.mx_frozen = frozen;
+      mx_max_ops = max_ops;
+      mx_dict = st.dict;
+      (* Cached newest-first snapshot, taken once per round;
+         Corpus.programs only reallocates after growth, so steady-state
+         rounds stop paying O(corpus). *)
+      mx_corpus = Corpus.programs st.corpus;
+    }
+  in
+  let news = ref false in
+  let ns_sum = ref 0 and runs = ref 0 in
+  while !runs < Policy.reuse_count && not (paused st) do
+    let mutated =
+      prof_span st Nyx_obs.Profile.Mutation (fun () ->
+          Nyx_obs.Trace.with_span
+            ~vns_of:(fun () -> now st)
+            "mutation"
+            [ ("input", Nyx_obs.Trace.Int input_id) ]
+            (fun () ->
+              Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng ctx base))
+    in
+    let r = exec mutated in
+    ns_sum := !ns_sum + r.Report.exec_ns;
+    incr runs;
+    let novel = triage st r mutated in
+    Nyx_spec.Mutation_engine.credit st.engine ~novel;
+    if novel then news := true
+  done;
+  (!news, !ns_sum, !runs)
+
 let main_loop st =
   let dyn = Policy.is_dynamic st.policy in
   while not (paused st) do
     maybe_checkpoint st;
     let entry_sched = Corpus.schedule st.corpus st.rng in
+    let input_id = entry_sched.Corpus.id in
     let packets = entry_sched.Corpus.packets in
-    (* Cached newest-first snapshot; Corpus.programs only reallocates
-       after growth, so steady-state rounds stop paying O(corpus). *)
-    let corpus_progs = Corpus.programs st.corpus in
     if dyn && packets >= Policy.min_packets_for_snapshot then
       dynamic_prepare st entry_sched ~packets;
-    match Policy.decide st.policy ~input_id:entry_sched.Corpus.id ~packets with
+    match Policy.decide st.policy ~input_id ~packets with
     | `Root ->
       trace_move st;
-      let news = ref false in
-      let ns_sum = ref 0 and runs = ref 0 in
-      let i = ref 0 in
-      while !i < Policy.reuse_count && not (paused st) do
-        incr i;
-        let mutated =
-          prof_span st Nyx_obs.Profile.Mutation (fun () ->
-              Nyx_obs.Trace.with_span
-                ~vns_of:(fun () -> now st)
-                "mutation"
-                [ ("input", Nyx_obs.Trace.Int entry_sched.Corpus.id) ]
-                (fun () ->
-                  Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng
-                    {
-                      Nyx_spec.Mutation_engine.mx_frozen = 0;
-                      mx_max_ops = st.max_ops;
-                      mx_dict = st.dict;
-                      mx_corpus = corpus_progs;
-                    }
-                    entry_sched.Corpus.program))
-        in
-        let r = Executor.run_full st.exec mutated in
-        if dyn then begin
-          ns_sum := !ns_sum + r.Report.exec_ns;
-          incr runs
-        end;
-        let novel = triage st r mutated in
-        Nyx_spec.Mutation_engine.credit st.engine ~novel;
-        if novel then news := true
-      done;
+      let news, ns_sum, runs =
+        reuse_round st ~input_id ~frozen:0 ~max_ops:st.max_ops
+          ~exec:(Executor.run_full st.exec) entry_sched.Corpus.program
+      in
       (* Feed the cost model; static policies never observed root rounds
          (notify_no_news was historically session-only) and still don't. *)
-      if dyn && !runs > 0 then begin
-        Policy.observe_full st.policy ~input_id:entry_sched.Corpus.id
-          ~ns:(!ns_sum / !runs);
-        if !news then Policy.notify_news st.policy ~input_id:entry_sched.Corpus.id
-        else Policy.notify_no_news st.policy ~input_id:entry_sched.Corpus.id
+      if dyn && runs > 0 then begin
+        Policy.observe_full st.policy ~input_id ~ns:(ns_sum / runs);
+        if news then Policy.notify_news st.policy ~input_id
+        else Policy.notify_no_news st.policy ~input_id
       end
     | `At idx -> (
       trace_move st;
@@ -458,49 +569,23 @@ let main_loop st =
            dynamic placement whose prefix keeps failing accrues staleness
            so the cost model drifts away from it. *)
         ignore (triage st r with_snap);
-        if dyn then Policy.notify_no_news st.policy ~input_id:entry_sched.Corpus.id
+        if dyn then Policy.notify_no_news st.policy ~input_id
       | Ok session ->
         let setup_ns = now st - setup0 in
-        let frozen = Executor.suffix_start session in
-        let news = ref false in
-        let ns_sum = ref 0 and rounds = ref 0 in
-        let i = ref 0 in
-        while !i < Policy.reuse_count && not (paused st) do
-          incr i;
-          let mutated =
-            prof_span st Nyx_obs.Profile.Mutation (fun () ->
-                Nyx_obs.Trace.with_span
-                  ~vns_of:(fun () -> now st)
-                  "mutation"
-                  [ ("input", Nyx_obs.Trace.Int entry_sched.Corpus.id) ]
-                  (fun () ->
-                    Nyx_spec.Mutation_engine.mutate st.engine st.mut_rng
-                      {
-                        Nyx_spec.Mutation_engine.mx_frozen = frozen;
-                        mx_max_ops = st.max_ops + 1 (* snapshot op *);
-                        mx_dict = st.dict;
-                        mx_corpus = corpus_progs;
-                      }
-                      with_snap))
-          in
-          let r = Executor.run_suffix st.exec session mutated in
-          if dyn then begin
-            ns_sum := !ns_sum + r.Report.exec_ns;
-            incr rounds
-          end;
-          let novel = triage st r mutated in
-          Nyx_spec.Mutation_engine.credit st.engine ~novel;
-          if novel then news := true
-        done;
+        let news, ns_sum, runs =
+          reuse_round st ~input_id
+            ~frozen:(Executor.suffix_start session)
+            ~max_ops:(st.max_ops + 1 (* snapshot op *))
+            ~exec:(Executor.run_suffix st.exec session)
+            with_snap
+        in
         Executor.end_session st.exec session;
-        if dyn && !rounds > 0 then
-          Policy.observe_session st.policy ~input_id:entry_sched.Corpus.id ~idx
-            ~setup_ns
-            ~round_ns:(!ns_sum / !rounds)
+        if dyn && runs > 0 then
+          Policy.observe_session st.policy ~input_id ~idx ~setup_ns
+            ~round_ns:(ns_sum / runs)
             ~pages:(Executor.last_snapshot_pages st.exec);
-        if not !news then
-          Policy.notify_no_news st.policy ~input_id:entry_sched.Corpus.id
-        else Policy.notify_news st.policy ~input_id:entry_sched.Corpus.id)
+        if news then Policy.notify_news st.policy ~input_id
+        else Policy.notify_no_news st.policy ~input_id)
   done
 
 let finish st wall0 =
@@ -605,10 +690,15 @@ let trace_campaign_begin st =
 
 type inst = { st : state; wall0 : float }
 
-let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
-    ?checkpoint ?(collect_exports = false) cfg entry =
+(* Boot the target and build an empty campaign state — the one place a
+   [state] is constructed. The RNG chain is drawn in a fixed order: the
+   layout cookie, the policy split, the mutator split. [start] continues
+   it (the fault-plan split); [resume_inst] overwrites every RNG state
+   from the checkpoint, so the cookie is all it keeps — the same draw as
+   the original run, which makes the re-boot reproduce the original
+   guest layout bit-for-bit. *)
+let boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry =
   let wall0 = Nyx_parallel.Wall.now_s () in
-  let spec = net_spec () in
   let rng = Nyx_sim.Rng.create cfg.seed in
   let layout_cookie = Nyx_sim.Rng.int rng 1_000_000 in
   let prof = if profile then Some (Nyx_obs.Profile.create ()) else None in
@@ -625,56 +715,6 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
     Engines.create ~weights:cfg.mutator_weights cfg.engine
       spec.Nyx_spec.Net_spec.spec
   in
-  (* Fault plan: [~faults] wins, else NYX_FAULTS; [~peer_faults] items
-     (peer encoder sites) are appended. Its rng split happens ONLY when a
-     plan with at least one non-zero rate is armed, so fault-free runs —
-     including peer campaigns with every peer rate at zero — keep the
-     historical draw sequence (golden results stay byte-identical). *)
-  let plan =
-    let base =
-      match faults with Some _ -> faults | None -> Nyx_resilience.Plan.of_env ()
-    in
-    let merged =
-      match (base, peer_faults) with
-      | None, None -> None
-      | Some a, None -> Some a
-      | None, Some b -> Some b
-      | Some a, Some b -> Some (a @ b)
-    in
-    match merged with
-    | None -> None
-    | Some sp when Nyx_resilience.Plan.spec_to_string sp = "" -> None
-    | Some sp ->
-      let p = Nyx_resilience.Plan.create sp (Nyx_sim.Rng.split rng) in
-      Executor.arm_faults exec p;
-      Some p
-  in
-  (* Seed the corpus: peer mode seeds with the script's canned honest
-     sessions (action-selector payloads), bytecode mode with the
-     target's raw packet seeds. *)
-  let seed_programs =
-    match seeds with
-    | Some s -> s
-    | None -> (
-      match peer with
-      | Some script -> Nyx_peer.Peer_script.seed_programs script spec
-      | None -> make_seeds entry spec)
-  in
-  (* Dictionary: the target's shipped tokens plus AFL-style auto-extraction
-     from the seeds. *)
-  let dict =
-    Nyx_spec.Auto_dict.merge
-      (List.map Bytes.of_string entry.Registry.target.Target.info.Target.dict)
-      (Nyx_spec.Auto_dict.extract seed_programs)
-  in
-  (* The input-length cap scales with the seeds: protocols with long
-     message sequences (Mario levels, IPC sessions) need room beyond the
-     default. *)
-  let max_ops =
-    List.fold_left
-      (fun acc p -> max acc (2 * Array.length p.Nyx_spec.Program.ops))
-      24 seed_programs
-  in
   let st =
     {
       cfg;
@@ -687,9 +727,9 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
       policy;
       mut_rng;
       engine;
-      dict;
-      max_ops;
-      plan;
+      dict = [];
+      max_ops = 0;
+      plan = None;
       (* off for custom handlers AND peer mode: both give packets
          semantics the static dataflow model cannot see *)
       static_prior = custom = None && peer = None;
@@ -709,11 +749,63 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
       until_ns = max_int;
     }
   in
+  { st; wall0 }
+
+let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
+    ?checkpoint ?(collect_exports = false) cfg entry =
+  let spec = net_spec () in
+  let inst =
+    boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry
+  in
+  let st = inst.st in
+  (* Fault plan: [~faults] wins, else NYX_FAULTS; [~peer_faults] items
+     (peer encoder sites) are appended. Its rng split happens ONLY when a
+     plan with at least one non-zero rate is armed, so fault-free runs —
+     including peer campaigns with every peer rate at zero — keep the
+     historical draw sequence (golden results stay byte-identical). *)
+  let merged =
+    let base =
+      match faults with Some _ -> faults | None -> Nyx_resilience.Plan.of_env ()
+    in
+    match (base, peer_faults) with
+    | None, sp | sp, None -> sp
+    | Some a, Some b -> Some (a @ b)
+  in
+  (match merged with
+  | Some sp when Nyx_resilience.Plan.spec_to_string sp <> "" ->
+    let p = Nyx_resilience.Plan.create sp (Nyx_sim.Rng.split st.rng) in
+    Executor.arm_faults st.exec p;
+    st.plan <- Some p
+  | Some _ | None -> ());
+  (* Seed the corpus: peer mode seeds with the script's canned honest
+     sessions (action-selector payloads), bytecode mode with the
+     target's raw packet seeds. *)
+  let seed_programs =
+    match seeds with
+    | Some s -> s
+    | None -> (
+      match peer with
+      | Some script -> Nyx_peer.Peer_script.seed_programs script spec
+      | None -> make_seeds entry spec)
+  in
+  (* Dictionary: the target's shipped tokens plus AFL-style auto-extraction
+     from the seeds. *)
+  st.dict <-
+    Nyx_spec.Auto_dict.merge
+      (List.map Bytes.of_string entry.Registry.target.Target.info.Target.dict)
+      (Nyx_spec.Auto_dict.extract seed_programs);
+  (* The input-length cap scales with the seeds: protocols with long
+     message sequences (Mario levels, IPC sessions) need room beyond the
+     default. *)
+  st.max_ops <-
+    List.fold_left
+      (fun acc p -> max acc (2 * Array.length p.Nyx_spec.Program.ops))
+      24 seed_programs;
   trace_campaign_begin st;
   List.iter
     (fun program ->
       if not (over_budget st) then begin
-        let r = Executor.run_full exec program in
+        let r = Executor.run_full st.exec program in
         ignore (triage st r program)
       end)
     seed_programs;
@@ -723,7 +815,7 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
       (Corpus.add st.corpus
          ~program:(Nyx_spec.Net_spec.seed_of_packets spec [])
          ~exec_ns:0 ~discovered_ns:(now st) ~state_code:0);
-  { st; wall0 }
+  inst
 
 let step inst ~until_ns =
   inst.st.until_ns <- until_ns;
@@ -776,56 +868,24 @@ let import inst (e : export) =
       end;
       novel)
 
-let run ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults ?checkpoint
-    cfg entry =
-  let inst =
-    start ?seeds ?custom ?peer ?peer_faults ~profile ?faults ?checkpoint cfg
-      entry
-  in
+let run_to_end inst =
   step inst ~until_ns:max_int;
   finalize inst
 
+let run ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults ?checkpoint
+    cfg entry =
+  run_to_end
+    (start ?seeds ?custom ?peer ?peer_faults ~profile ?faults ?checkpoint cfg
+       entry)
+
 let resume_inst ?custom ?(profile = false) ?checkpoint
     ?(collect_exports = false) (ckpt : Checkpoint.t) entry =
-  let wall0 = Nyx_parallel.Wall.now_s () in
   let target_name = entry.Registry.target.Target.info.Target.name in
   if ckpt.Checkpoint.c_target <> target_name then
     invalid_arg
       (Printf.sprintf "Campaign.resume: checkpoint is for target %S, not %S"
          ckpt.Checkpoint.c_target target_name);
-  let policy_kind =
-    match Policy.of_name ckpt.Checkpoint.c_policy with
-    | Ok k -> k
-    | Error m -> invalid_arg ("Campaign.resume: " ^ m)
-  in
-  let engine_kind =
-    match Engines.of_name ckpt.Checkpoint.c_mut_engine with
-    | Ok k -> k
-    | Error m -> invalid_arg ("Campaign.resume: " ^ m)
-  in
-  let cfg =
-    {
-      policy = policy_kind;
-      budget_ns = ckpt.Checkpoint.c_budget_ns;
-      max_execs = ckpt.Checkpoint.c_max_execs;
-      seed = ckpt.Checkpoint.c_seed;
-      asan = ckpt.Checkpoint.c_asan;
-      stop_on_solve = ckpt.Checkpoint.c_stop_on_solve;
-      trim = ckpt.Checkpoint.c_trim;
-      sample_interval_ns = ckpt.Checkpoint.c_sample_interval_ns;
-      engine = engine_kind;
-      mutator_weights =
-        List.map
-          (fun (n, bits) -> (n, Int64.float_of_bits bits))
-          ckpt.Checkpoint.c_mut_weights;
-    }
-  in
-  let spec = net_spec () in
-  let rng = Nyx_sim.Rng.create cfg.seed in
-  (* Same draw as the original run: the layout cookie must match so the
-     re-boot reproduces the original guest layout bit-for-bit. *)
-  let layout_cookie = Nyx_sim.Rng.int rng 1_000_000 in
-  let prof = if profile then Some (Nyx_obs.Profile.create ()) else None in
+  let cfg = config_of_checkpoint ckpt in
   (* Peer mode is inferred from the checkpoint (the c_peer field is Some
      exactly when the original campaign ran with a peer script), so
      resumers never need to re-supply the mode. *)
@@ -842,127 +902,16 @@ let resume_inst ?custom ?(profile = false) ?checkpoint
               peer script"
              ckpt.Checkpoint.c_target))
   in
-  let exec =
-    Executor.create ~asan:cfg.asan ~layout_cookie ?custom ?peer ?profile:prof
-      ~net_spec:spec entry.Registry.target
+  let spec = net_spec () in
+  let inst =
+    boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry
   in
-  (match (ckpt.Checkpoint.c_peer, Executor.peer_driver exec) with
-  | Some s, Some d -> Nyx_peer.Peer_driver.restore_state d s
-  | _ -> ());
-  (match (prof, ckpt.Checkpoint.c_profile) with
-  | Some p, Some s -> Nyx_obs.Profile.restore_state p s
-  | _ -> ());
-  (* Dummy-seeded RNGs below are immediately overwritten via set_state:
-     only the restored states matter, never the creation seeds. *)
-  Nyx_sim.Rng.set_state rng ckpt.Checkpoint.c_sched_rng;
-  let policy = Policy.create cfg.policy (Nyx_sim.Rng.create 0) in
-  Policy.restore_state policy ckpt.Checkpoint.c_policy_state;
-  let mut_rng = Nyx_sim.Rng.create 0 in
-  Nyx_sim.Rng.set_state mut_rng ckpt.Checkpoint.c_mut_rng;
-  let engine =
-    Engines.create ~weights:cfg.mutator_weights cfg.engine
-      spec.Nyx_spec.Net_spec.spec
-  in
-  Nyx_spec.Mutation_engine.restore_state engine ckpt.Checkpoint.c_mut_state;
-  let plan =
-    match ckpt.Checkpoint.c_faults with
-    | None -> None
-    | Some (spec_str, pstate) ->
-      let sp =
-        match Nyx_resilience.Plan.parse_spec spec_str with
-        | Ok sp -> sp
-        | Error m -> invalid_arg ("Campaign.resume: stored fault spec: " ^ m)
-      in
-      let p = Nyx_resilience.Plan.create sp (Nyx_sim.Rng.create 0) in
-      Nyx_resilience.Plan.restore_state p pstate;
-      Executor.arm_faults exec p;
-      Some p
-  in
-  (* Rebuild the corpus oldest-first so ids re-assign to their original
-     values (Corpus.add numbers sequentially). *)
-  let corpus = Corpus.create () in
-  List.iter
-    (fun (e : Checkpoint.corpus_entry) ->
-      let program =
-        match
-          Nyx_spec.Program.parse spec.Nyx_spec.Net_spec.spec
-            e.Checkpoint.ce_program
-        with
-        | Ok p -> p
-        | Error m -> invalid_arg ("Campaign.resume: corpus entry: " ^ m)
-      in
-      ignore
-        (Corpus.add corpus ~program ~exec_ns:e.Checkpoint.ce_exec_ns
-           ~discovered_ns:e.Checkpoint.ce_discovered_ns
-           ~state_code:e.Checkpoint.ce_state_code))
-    ckpt.Checkpoint.c_corpus;
-  let cumulative = Coverage.Cumulative.create () in
-  Coverage.Cumulative.load_state cumulative ckpt.Checkpoint.c_virgin;
-  let timeline = Nyx_sim.Stats.Timeline.create () in
-  List.iter
-    (fun (t, bits) ->
-      Nyx_sim.Stats.Timeline.record timeline t (Int64.float_of_bits bits))
-    ckpt.Checkpoint.c_timeline;
-  let exec_timeline = Nyx_sim.Stats.Timeline.create () in
-  List.iter
-    (fun (t, bits) ->
-      Nyx_sim.Stats.Timeline.record exec_timeline t (Int64.float_of_bits bits))
-    ckpt.Checkpoint.c_exec_timeline;
-  let crashes =
-    List.map
-      (fun (c : Checkpoint.crash) ->
-        {
-          Report.kind = c.Checkpoint.cr_kind;
-          detail = c.Checkpoint.cr_detail;
-          found_ns = c.Checkpoint.cr_found_ns;
-          found_exec = c.Checkpoint.cr_found_exec;
-          input = c.Checkpoint.cr_input;
-        })
-      ckpt.Checkpoint.c_crashes
-  in
-  Executor.engine_restore_checkpoint exec ckpt.Checkpoint.c_engine;
-  (* Boot charged its costs onto the fresh clock; jump to the campaign's
-     checkpointed virtual time, which already accounts for them. *)
-  Nyx_sim.Clock.set_ns (Executor.clock exec) ckpt.Checkpoint.c_clock_ns;
-  let st =
-    {
-      cfg;
-      exec;
-      corpus;
-      cumulative;
-      timeline;
-      exec_timeline;
-      rng;
-      policy;
-      mut_rng;
-      engine;
-      dict = ckpt.Checkpoint.c_dict;
-      max_ops = ckpt.Checkpoint.c_max_ops;
-      plan;
-      static_prior = custom = None && peer = None;
-      prior_udp =
-        entry.Registry.target.Target.info.Target.proto = Nyx_netemu.Net.Udp;
-      prof;
-      ck = checkpoint;
-      ck_last = ckpt.Checkpoint.c_clock_ns;
-      ck_ordinal = 0;
-      execs = ckpt.Checkpoint.c_execs;
-      crashes;
-      solved_ns = ckpt.Checkpoint.c_solved_ns;
-      last_sample = ckpt.Checkpoint.c_last_sample;
-      stop = false;
-      collect_exports;
-      pending_exports = [];
-      until_ns = max_int;
-    }
-  in
-  trace_campaign_begin st;
-  { st; wall0 }
+  restore ~spec inst.st ckpt;
+  trace_campaign_begin inst.st;
+  inst
 
 let resume ?custom ?(profile = false) ?checkpoint (ckpt : Checkpoint.t) entry =
-  let inst = resume_inst ?custom ~profile ?checkpoint ckpt entry in
-  step inst ~until_ns:max_int;
-  finalize inst
+  run_to_end (resume_inst ?custom ~profile ?checkpoint ckpt entry)
 
 let median_result results =
   match results with

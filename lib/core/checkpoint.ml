@@ -73,13 +73,14 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Encoding.                                                           *)
+(* Encoding. [add_int], [add_bytes] and [add_list] (and their readers
+   below) are also the framing of Fleet's NYXFLT1 files.               *)
 
 let add_i64 = Buffer.add_int64_be
 let add_int b v = add_i64 b (Int64.of_int v)
 let add_bool b v = Buffer.add_char b (if v then '\001' else '\000')
 
-let add_bytes_v b s =
+let add_bytes b s =
   add_int b (Bytes.length s);
   Buffer.add_bytes b s
 
@@ -104,7 +105,7 @@ let add_int_array b a =
   Array.iter (add_int b) a
 
 let add_corpus_entry b e =
-  add_bytes_v b e.ce_program;
+  add_bytes b e.ce_program;
   add_int b e.ce_exec_ns;
   add_int b e.ce_discovered_ns;
   add_int b e.ce_state_code
@@ -114,7 +115,7 @@ let add_crash b c =
   add_str b c.cr_detail;
   add_int b c.cr_found_ns;
   add_int b c.cr_found_exec;
-  add_bytes_v b c.cr_input
+  add_bytes b c.cr_input
 
 let add_sample b (t, bits) =
   add_int b t;
@@ -209,11 +210,11 @@ let encode t =
   add_i64 b t.c_mut_rng;
   add_policy_state b t.c_policy_state;
   add_list add_corpus_entry b t.c_corpus;
-  add_bytes_v b t.c_virgin;
+  add_bytes b t.c_virgin;
   add_list add_sample b t.c_timeline;
   add_list add_crash b t.c_crashes;
   add_engine b t.c_engine;
-  add_list add_bytes_v b t.c_dict;
+  add_list add_bytes b t.c_dict;
   add_int b t.c_max_ops;
   add_list add_sample b t.c_exec_timeline;
   add_str b t.c_mut_engine;
@@ -231,8 +232,19 @@ exception Corrupt of string
 
 type cursor = { data : bytes; mutable pos : int }
 
-let need c n =
-  if c.pos + n > Bytes.length c.data then raise (Corrupt "truncated checkpoint")
+let left c = Bytes.length c.data - c.pos
+
+let need c n = if n > left c then raise (Corrupt "truncated checkpoint")
+
+let cursor ~magic data =
+  let c = { data; pos = 0 } in
+  let n = String.length magic in
+  need c n;
+  if Bytes.sub_string data 0 n <> magic then raise (Corrupt "bad magic");
+  c.pos <- n;
+  c
+
+let expect_end c = if left c <> 0 then raise (Corrupt "trailing garbage")
 
 let get_i64 c =
   need c 8;
@@ -240,14 +252,13 @@ let get_i64 c =
   c.pos <- c.pos + 8;
   v
 
-let get_int c =
-  let v = Int64.to_int (get_i64 c) in
-  v
+let get_int c = Int64.to_int (get_i64 c)
 
+(* Every encoded list element takes at least one byte, so a count larger
+   than the bytes left is corrupt: reject it before allocating. *)
 let get_len c =
   let n = get_int c in
-  if n < 0 || c.pos + n > Bytes.length c.data then
-    raise (Corrupt "bad length field");
+  if n < 0 || n > left c then raise (Corrupt "bad length field");
   n
 
 let get_bool c =
@@ -259,19 +270,18 @@ let get_bool c =
   | '\001' -> true
   | _ -> raise (Corrupt "bad boolean")
 
-let get_bytes_v c =
+let get_bytes c =
   let n = get_len c in
   let s = Bytes.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
 
-let get_str c = Bytes.to_string (get_bytes_v c)
+let get_str c = Bytes.to_string (get_bytes c)
 
 let get_opt f c = if get_bool c then Some (f c) else None
 
 let get_list f c =
-  let n = get_int c in
-  if n < 0 then raise (Corrupt "negative list length");
+  let n = get_len c in
   List.init n (fun _ -> f c)
 
 let get_int_list = get_list get_int
@@ -279,7 +289,7 @@ let get_int_list = get_list get_int
 let get_int_array c = Array.of_list (get_int_list c)
 
 let get_corpus_entry c =
-  let ce_program = get_bytes_v c in
+  let ce_program = get_bytes c in
   let ce_exec_ns = get_int c in
   let ce_discovered_ns = get_int c in
   let ce_state_code = get_int c in
@@ -290,7 +300,7 @@ let get_crash c =
   let cr_detail = get_str c in
   let cr_found_ns = get_int c in
   let cr_found_exec = get_int c in
-  let cr_input = get_bytes_v c in
+  let cr_input = get_bytes c in
   { cr_kind; cr_detail; cr_found_ns; cr_found_exec; cr_input }
 
 let get_sample c =
@@ -412,12 +422,7 @@ let get_mut_state c =
   { Nyx_spec.Mutation_engine.ms_name; ms_attempts; ms_rejected; ms_accepts; ms_credit }
 
 let decode data =
-  let c = { data; pos = 0 } in
-  let m = Bytes.create (String.length magic) in
-  need c (String.length magic);
-  Bytes.blit c.data 0 m 0 (String.length magic);
-  c.pos <- String.length magic;
-  if Bytes.to_string m <> magic then raise (Corrupt "bad magic");
+  let c = cursor ~magic data in
   let c_policy = get_str c in
   let c_budget_ns = get_int c in
   let c_max_execs = get_int c in
@@ -435,11 +440,11 @@ let decode data =
   let c_mut_rng = get_i64 c in
   let c_policy_state = get_policy_state c in
   let c_corpus = get_list get_corpus_entry c in
-  let c_virgin = get_bytes_v c in
+  let c_virgin = get_bytes c in
   let c_timeline = get_list get_sample c in
   let c_crashes = get_list get_crash c in
   let c_engine = get_engine c in
-  let c_dict = get_list get_bytes_v c in
+  let c_dict = get_list get_bytes c in
   let c_max_ops = get_int c in
   let c_exec_timeline = get_list get_sample c in
   let c_mut_engine = get_str c in
@@ -448,7 +453,7 @@ let decode data =
   let c_faults = get_opt get_plan_state c in
   let c_profile = get_opt get_profile_state c in
   let c_peer = get_opt get_peer_state c in
-  if c.pos <> Bytes.length c.data then raise (Corrupt "trailing garbage");
+  expect_end c;
   {
     c_policy;
     c_budget_ns;

@@ -73,6 +73,36 @@ val decode : bytes -> t
 
 exception Corrupt of string
 
+(** {2 Wire framing}
+
+    The primitives NYXCKP1 is written with, shared with the fleet's
+    NYXFLT1 files ({!Fleet.checkpointing}). Readers check every length and
+    element count against the bytes left, so malformed input raises
+    {!Corrupt} and never makes a reader allocate for more elements than
+    the input has bytes. *)
+
+val add_int : Buffer.t -> int -> unit
+(** One big-endian int64. *)
+
+val add_bytes : Buffer.t -> bytes -> unit
+(** Length-prefixed bytes. *)
+
+val add_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+(** Count-prefixed elements. *)
+
+type cursor
+
+val cursor : magic:string -> bytes -> cursor
+(** A reader positioned after [magic]. @raise Corrupt if the input does
+    not start with it. *)
+
+val get_int : cursor -> int
+val get_bytes : cursor -> bytes
+val get_list : (cursor -> 'a) -> cursor -> 'a list
+
+val expect_end : cursor -> unit
+(** @raise Corrupt unless the whole input has been read. *)
+
 val save : string -> t -> (unit, string) result
 (** Atomic write (tmp + rename). *)
 

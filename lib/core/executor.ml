@@ -20,11 +20,11 @@ let prof t phase f =
   | None -> f ()
   | Some p -> Nyx_obs.Profile.span p phase t.clock f
 
-let create ?(asan = false) ?(layout_cookie = 0) ?(boundaries = true)
-    ?(vm_config = Nyx_vm.Vm.fuzz_config) ?custom ?peer ?profile ~net_spec:_ target =
+let create ?(asan = false) ?(layout_cookie = 0) ?custom ?peer ?profile ~net_spec:_
+    target =
   let clock = Nyx_sim.Clock.create () in
-  let vm = Nyx_vm.Vm.create ~config:vm_config clock in
-  let net = Net.create ~backend:Net.Emulated ~boundaries clock in
+  let vm = Nyx_vm.Vm.create ~config:Nyx_vm.Vm.fuzz_config clock in
+  let net = Net.create ~backend:Net.Emulated ~boundaries:true clock in
   let aux = Nyx_snapshot.Aux_state.create () in
   Net.register_aux net aux;
   let ctx = Ctx.of_vm ~asan ~layout_cookie ~net vm in

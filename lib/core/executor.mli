@@ -18,8 +18,6 @@ type t
 val create :
   ?asan:bool ->
   ?layout_cookie:int ->
-  ?boundaries:bool ->
-  ?vm_config:Nyx_vm.Vm.config ->
   ?custom:Op_handlers.custom_handler ->
   ?peer:Nyx_peer.Peer_script.t ->
   ?profile:Nyx_obs.Profile.t ->
@@ -27,7 +25,9 @@ val create :
   Nyx_targets.Target.t ->
   t
 (** Boots the target (charging its startup cost), pumps it to its accept
-    loop, and takes the root snapshot. [profile], when given, receives a
+    loop, and takes the root snapshot. The VM is a
+    {!Nyx_vm.Vm.fuzz_config} one behind the emulated network, which keeps
+    packet boundaries; [net_spec] is ignored. [profile], when given, receives a
     per-phase virtual-time attribution of every execution this instance
     runs (reset / prefix-replay / suffix-exec / snapshot-create);
     accumulation is observational only and changes no result.

@@ -85,11 +85,35 @@ let exn_brief exn =
   | s when String.length s > 200 -> String.sub s 0 200 ^ "..."
   | s -> s
 
-let derived_configs ~instances ~config =
-  List.init instances (fun i ->
-      (i, { config with Campaign.seed = config.Campaign.seed + (1000 * i) }))
+let derived_config config i =
+  { config with Campaign.seed = config.Campaign.seed + (1000 * i) }
 
-let trace_fleet_begin ~instances ~sync_ns entry =
+(* The one outcome constructor, for both modes: the solve and exec
+   summaries derive from the survivors' results. *)
+let make_outcome ~instances ~workers ~restarts ~quarantined ~union_edges
+    ~sync_epochs ~work_ns ~makespan_ns results t0 =
+  let solve_times = List.filter_map (fun r -> r.Report.solved_ns) results in
+  {
+    instances;
+    first_solve_ns =
+      (match solve_times with
+      | [] -> None
+      | ts -> Some (List.fold_left min max_int ts));
+    solves = List.length solve_times;
+    total_execs = List.fold_left (fun acc r -> acc + r.Report.execs) 0 results;
+    restarts;
+    quarantined;
+    results;
+    wall_s = Nyx_parallel.Wall.now_s () -. t0;
+    domains = workers;
+    union_edges;
+    sync_epochs;
+    work_ns;
+    makespan_ns;
+  }
+
+(* The "fleet" trace span around one run or resume. *)
+let with_fleet_trace ~instances ~sync_ns entry f =
   if Nyx_obs.Trace.on () then
     Nyx_obs.Trace.span_begin "fleet"
       [
@@ -99,9 +123,8 @@ let trace_fleet_begin ~instances ~sync_ns entry =
               .Nyx_targets.Target.name );
         ("instances", Nyx_obs.Trace.Int instances);
         ("sync_ns", Nyx_obs.Trace.Int (Option.value ~default:0 sync_ns));
-      ]
-
-let trace_fleet_end outcome =
+      ];
+  let outcome = f () in
   if Nyx_obs.Trace.on () then begin
     Nyx_obs.Trace.span_end "fleet"
       [
@@ -115,7 +138,8 @@ let trace_fleet_end outcome =
     (* Worker-domain buffers flushed at their campaign span ends; make the
        fleet's own events durable too. *)
     Nyx_obs.Trace.flush ()
-  end
+  end;
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Independent mode (sync off): the historical supervised fleet.       *)
@@ -183,8 +207,8 @@ let run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
   in
   let raw =
     Pool.map_list ~domains:workers
-      (fun (i, cfg) -> supervise ~max_restarts ~run_one i cfg)
-      (derived_configs ~instances ~config)
+      (fun i -> supervise ~max_restarts ~run_one i (derived_config config i))
+      (List.init instances Fun.id)
   in
   let restarts = List.fold_left (fun acc (_, r, _) -> acc + r) 0 raw in
   let quarantined =
@@ -198,26 +222,10 @@ let run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
         Option.map (amend_result ~restarts ~backoff_ns) res)
       raw
   in
-  let solve_times = List.filter_map (fun r -> r.Report.solved_ns) results in
   let segs = List.map (fun r -> r.Report.virtual_ns) results in
-  {
-    instances;
-    first_solve_ns =
-      (match solve_times with
-      | [] -> None
-      | ts -> Some (List.fold_left min max_int ts));
-    solves = List.length solve_times;
-    total_execs = List.fold_left (fun acc r -> acc + r.Report.execs) 0 results;
-    restarts;
-    quarantined;
-    results;
-    wall_s = Nyx_parallel.Wall.now_s () -. t0;
-    domains = workers;
-    union_edges = None;
-    sync_epochs = [];
-    work_ns = List.fold_left ( + ) 0 segs;
-    makespan_ns = parallel_span ~workers segs;
-  }
+  make_outcome ~instances ~workers ~restarts ~quarantined ~union_edges:None
+    ~sync_epochs:[] ~work_ns:(List.fold_left ( + ) 0 segs)
+    ~makespan_ns:(parallel_span ~workers segs) results t0
 
 (* ------------------------------------------------------------------ *)
 (* Shared-corpus mode: sync epochs on the virtual clock.               *)
@@ -255,14 +263,15 @@ type sync_state = {
   sync_import : bool;
 }
 
-(* Fleet checkpoint codec: magic + flat big-endian int64 framing, one
-   embedded Campaign checkpoint per live slot, written atomically. *)
+(* Fleet checkpoint codec: magic + Checkpoint's big-endian int64
+   framing, one embedded Campaign checkpoint per live slot, written
+   atomically. *)
 
 let fleet_magic = "NYXFLT1"
 
 let encode_fleet st : bytes =
   let b = Buffer.create 262_144 in
-  let put v = Buffer.add_int64_be b (Int64.of_int v) in
+  let put = Checkpoint.add_int b in
   Buffer.add_string b fleet_magic;
   put st.sync_ns;
   put (if st.sync_import then 1 else 0);
@@ -270,33 +279,29 @@ let encode_fleet st : bytes =
   put st.acc.work_ns;
   put st.acc.makespan_ns;
   put st.acc.ck_ordinal;
-  let um = Coverage.Cumulative.state_bytes st.union in
-  put (Bytes.length um);
-  Buffer.add_bytes b um;
-  let rows = List.rev st.acc.rows in
-  put (List.length rows);
-  List.iter
-    (fun r ->
-      put r.se_epoch;
-      put r.se_at_ns;
-      put r.se_exports;
-      put r.se_broadcast;
-      put r.se_imports;
-      put r.se_union_edges;
-      put r.se_total_execs)
-    rows;
-  put (Array.length st.slots);
-  Array.iter
-    (fun s ->
+  Checkpoint.add_bytes b (Coverage.Cumulative.state_bytes st.union);
+  Checkpoint.add_list
+    (fun b r ->
+      List.iter (Checkpoint.add_int b)
+        [
+          r.se_epoch;
+          r.se_at_ns;
+          r.se_exports;
+          r.se_broadcast;
+          r.se_imports;
+          r.se_union_edges;
+          r.se_total_execs;
+        ])
+    b (List.rev st.acc.rows);
+  Checkpoint.add_list
+    (fun b s ->
       match s.inst with
-      | None -> put 0
+      | None -> Checkpoint.add_int b 0
       | Some i ->
-        put 1;
-        put s.prev_ns;
-        let ck = Checkpoint.encode (Campaign.checkpoint_now i) in
-        put (Bytes.length ck);
-        Buffer.add_bytes b ck)
-    st.slots;
+        Checkpoint.add_int b 1;
+        Checkpoint.add_int b s.prev_ns;
+        Checkpoint.add_bytes b (Checkpoint.encode (Campaign.checkpoint_now i)))
+    b (Array.to_list st.slots);
   Buffer.to_bytes b
 
 type decoded_fleet = {
@@ -307,76 +312,57 @@ type decoded_fleet = {
   d_slots : (int * Checkpoint.t) option array; (* prev_ns + checkpoint *)
 }
 
+let decode_row c =
+  let get () = Checkpoint.get_int c in
+  let se_epoch = get () in
+  let se_at_ns = get () in
+  let se_exports = get () in
+  let se_broadcast = get () in
+  let se_imports = get () in
+  let se_union_edges = get () in
+  let se_total_execs = get () in
+  {
+    se_epoch;
+    se_at_ns;
+    se_exports;
+    se_broadcast;
+    se_imports;
+    se_union_edges;
+    se_total_execs;
+  }
+
+let decode_slot c =
+  if Checkpoint.get_int c = 0 then None
+  else begin
+    let prev_ns = Checkpoint.get_int c in
+    Some (prev_ns, Checkpoint.decode (Checkpoint.get_bytes c))
+  end
+
 let decode_fleet (buf : bytes) : (decoded_fleet, string) result =
-  try
-    let pos = ref 0 in
-    let take n =
-      let p = !pos in
-      if p + n > Bytes.length buf then failwith "truncated";
-      pos := p + n;
-      p
-    in
-    let get () = Int64.to_int (Bytes.get_int64_be buf (take 8)) in
-    let get_bytes n = Bytes.sub buf (take n) n in
-    let m = Bytes.to_string (get_bytes (String.length fleet_magic)) in
-    if m <> fleet_magic then failwith "bad magic";
+  match
+    let c = Checkpoint.cursor ~magic:fleet_magic buf in
+    let get () = Checkpoint.get_int c in
     let d_sync_ns = get () in
     let d_sync_import = get () <> 0 in
     let epoch = get () in
     let work_ns = get () in
     let makespan_ns = get () in
     let ck_ordinal = get () in
-    let um_len = get () in
-    let d_virgin = get_bytes um_len in
-    let n_rows = get () in
-    let rows =
-      List.init n_rows (fun _ ->
-          let se_epoch = get () in
-          let se_at_ns = get () in
-          let se_exports = get () in
-          let se_broadcast = get () in
-          let se_imports = get () in
-          let se_union_edges = get () in
-          let se_total_execs = get () in
-          {
-            se_epoch;
-            se_at_ns;
-            se_exports;
-            se_broadcast;
-            se_imports;
-            se_union_edges;
-            se_total_execs;
-          })
-    in
-    let n_slots = get () in
-    let d_slots =
-      Array.init n_slots (fun _ ->
-          if get () = 0 then None
-          else begin
-            let prev_ns = get () in
-            let len = get () in
-            Some (prev_ns, Checkpoint.decode (get_bytes len))
-          end)
-    in
-    Ok
-      {
-        d_sync_ns;
-        d_sync_import;
-        d_acc =
-          {
-            epoch;
-            rows = List.rev rows;
-            work_ns;
-            makespan_ns;
-            ck_ordinal;
-          };
-        d_virgin;
-        d_slots;
-      }
+    let d_virgin = Checkpoint.get_bytes c in
+    let rows = Checkpoint.get_list decode_row c in
+    let d_slots = Array.of_list (Checkpoint.get_list decode_slot c) in
+    Checkpoint.expect_end c;
+    {
+      d_sync_ns;
+      d_sync_import;
+      d_acc =
+        { epoch; rows = List.rev rows; work_ns; makespan_ns; ck_ordinal };
+      d_virgin;
+      d_slots;
+    }
   with
-  | Failure m -> Error ("fleet checkpoint: " ^ m)
-  | Checkpoint.Corrupt m -> Error ("fleet checkpoint: " ^ m)
-  | Invalid_argument _ -> Error "fleet checkpoint: truncated"
+  | d -> Ok d
+  | exception Checkpoint.Corrupt m -> Error ("fleet checkpoint: " ^ m)
 
 let write_fleet_checkpoint st ck =
   match Nyx_resilience.Atomic_io.write_file ck.fc_path (encode_fleet st) with
@@ -552,36 +538,6 @@ let drive st ~fleet_map ~workers ~checkpoint =
       | None -> ())
     st.slots
 
-let finalize_sync st ~instances ~workers t0 =
-  let results =
-    Array.to_list st.slots
-    |> List.filter_map (fun s -> Option.map Campaign.finalize s.inst)
-  in
-  let quarantined =
-    Array.fold_left
-      (fun n s -> if s.inst = None then n + 1 else n)
-      0 st.slots
-  in
-  let solve_times = List.filter_map (fun r -> r.Report.solved_ns) results in
-  {
-    instances;
-    first_solve_ns =
-      (match solve_times with
-      | [] -> None
-      | ts -> Some (List.fold_left min max_int ts));
-    solves = List.length solve_times;
-    total_execs = List.fold_left (fun acc r -> acc + r.Report.execs) 0 results;
-    restarts = 0;
-    quarantined;
-    results;
-    wall_s = Nyx_parallel.Wall.now_s () -. t0;
-    domains = workers;
-    union_edges = Some (Coverage.Cumulative.edge_count st.union);
-    sync_epochs = List.rev st.acc.rows;
-    work_ns = st.acc.work_ns;
-    makespan_ns = st.acc.makespan_ns;
-  }
-
 (* Persistent pool for the whole synced run: worker domains are spawned
    once and reused across every epoch (batched submission amortizes the
    wake-ups within an epoch). *)
@@ -591,41 +547,57 @@ let with_fleet_pool ~workers ~instances ~batch f =
         f { fmap = (fun g arr -> Pool.map_pool pool ~batch g arr) })
   else f { fmap = (fun g arr -> Array.map g arr) }
 
-let run_synced ~instances ~workers ~sync_ns ~sync_import ~batch ~peer
-    ~peer_faults ~profile ~checkpoint ~config entry t0 =
+(* The synced path shared by [run ~sync_ns] and [resume]: boot every slot
+   in parallel, drive the epoch loop, finalize. [boot i] returns slot
+   [i]'s instance and the clock its first segment is measured from, or
+   [None] for a slot that stays dead. Boots are pure per slot, so the
+   fan-out cannot perturb determinism; a failing boot quarantines its
+   slot immediately. *)
+let run_sync ~instances ~workers ~batch ~checkpoint ~union ~acc ~sync_ns
+    ~sync_import ~boot t0 =
   let st =
     {
-      slots =
-        Array.of_list
-          (List.map
-             (fun (idx, _) -> { idx; inst = None; prev_ns = 0 })
-             (derived_configs ~instances ~config));
-      union = Coverage.Cumulative.create ();
-      acc = { epoch = 0; rows = []; work_ns = 0; makespan_ns = 0; ck_ordinal = 0 };
+      slots = Array.init instances (fun idx -> { idx; inst = None; prev_ns = 0 });
+      union;
+      acc;
       sync_ns;
       sync_import;
     }
   in
+  let batch =
+    match batch with
+    | Some b when b >= 1 -> b
+    | Some _ | None -> max 1 (instances / max 1 workers)
+  in
   with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
-      (* Boot the instances in parallel (pure per config, so the boot
-         fan-out cannot perturb determinism). A failing boot quarantines
-         the slot immediately. *)
-      let boots =
-        fleet_map.fmap
-          (fun (_, cfg) ->
-            try
-              Some
-                (Campaign.start ?peer ?peer_faults ~profile
-                   ~collect_exports:true cfg entry)
-            with exn ->
-              Printf.eprintf "nyx: fleet instance boot failed (%s)\n%!"
-                (exn_brief exn);
-              None)
-          (Array.of_list (derived_configs ~instances ~config))
+      let boot_slot s =
+        try boot s.idx
+        with exn ->
+          Printf.eprintf "nyx: fleet instance %d boot failed (%s); quarantined\n%!"
+            s.idx (exn_brief exn);
+          None
       in
-      Array.iteri (fun i b -> st.slots.(i).inst <- b) boots;
+      Array.iter2
+        (fun s b ->
+          Option.iter
+            (fun (prev_ns, inst) ->
+              s.inst <- Some inst;
+              s.prev_ns <- prev_ns)
+            b)
+        st.slots
+        (fleet_map.fmap boot_slot st.slots);
       drive st ~fleet_map ~workers ~checkpoint);
-  finalize_sync st ~instances ~workers t0
+  let results =
+    Array.to_list st.slots
+    |> List.filter_map (fun s -> Option.map Campaign.finalize s.inst)
+  in
+  let quarantined =
+    Array.fold_left (fun n s -> if s.inst = None then n + 1 else n) 0 st.slots
+  in
+  make_outcome ~instances ~workers ~restarts:0 ~quarantined
+    ~union_edges:(Some (Coverage.Cumulative.edge_count st.union))
+    ~sync_epochs:(List.rev st.acc.rows) ~work_ns:st.acc.work_ns
+    ~makespan_ns:st.acc.makespan_ns results t0
 
 (* ------------------------------------------------------------------ *)
 
@@ -634,88 +606,43 @@ let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
     ?checkpoint ~config entry =
   let t0 = Nyx_parallel.Wall.now_s () in
   let workers = resolved_domains domains in
-  trace_fleet_begin ~instances ~sync_ns entry;
-  let outcome =
-    match sync_ns with
-    | None ->
-      if checkpoint <> None then
-        invalid_arg "Fleet.run: ~checkpoint requires ~sync_ns";
-      run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
-        ~peer_faults ~profile ~config entry t0
-    | Some s when s <= 0 -> invalid_arg "Fleet.run: sync_ns must be positive"
-    | Some sync_ns ->
-      if run_instance <> None then
-        invalid_arg "Fleet.run: ~run_instance is independent-mode only";
-      let batch =
-        match batch with
-        | Some b when b >= 1 -> b
-        | Some _ | None -> max 1 (instances / max 1 workers)
-      in
-      run_synced ~instances ~workers ~sync_ns ~sync_import ~batch ~peer
-        ~peer_faults ~profile ~checkpoint ~config entry t0
-  in
-  trace_fleet_end outcome;
-  outcome
+  with_fleet_trace ~instances ~sync_ns entry (fun () ->
+      match sync_ns with
+      | None ->
+        if checkpoint <> None then
+          invalid_arg "Fleet.run: ~checkpoint requires ~sync_ns";
+        run_independent ~instances ~workers ~max_restarts ~run_instance ~peer
+          ~peer_faults ~profile ~config entry t0
+      | Some s when s <= 0 -> invalid_arg "Fleet.run: sync_ns must be positive"
+      | Some sync_ns ->
+        if run_instance <> None then
+          invalid_arg "Fleet.run: ~run_instance is independent-mode only";
+        run_sync ~instances ~workers ~batch ~checkpoint
+          ~union:(Coverage.Cumulative.create ())
+          ~acc:{ epoch = 0; rows = []; work_ns = 0; makespan_ns = 0; ck_ordinal = 0 }
+          ~sync_ns ~sync_import t0 ~boot:(fun i ->
+            Some
+              ( 0,
+                Campaign.start ?peer ?peer_faults ~profile ~collect_exports:true
+                  (derived_config config i) entry )))
 
 let resume ?domains ?batch ?(profile = false) ?checkpoint ~path entry =
   let t0 = Nyx_parallel.Wall.now_s () in
-  let buf =
-    match Nyx_resilience.Atomic_io.read_file path with
-    | Ok b -> b
-    | Error m -> invalid_arg ("Fleet.resume: " ^ m)
-  in
   let d =
-    match decode_fleet buf with
+    match Result.bind (Nyx_resilience.Atomic_io.read_file path) decode_fleet with
     | Ok d -> d
     | Error m -> invalid_arg ("Fleet.resume: " ^ m)
   in
   let instances = Array.length d.d_slots in
-  let workers = resolved_domains domains in
-  let batch =
-    match batch with
-    | Some b when b >= 1 -> b
-    | Some _ | None -> max 1 (instances / max 1 workers)
-  in
-  trace_fleet_begin ~instances ~sync_ns:(Some d.d_sync_ns) entry;
   let union = Coverage.Cumulative.create () in
   Coverage.Cumulative.load_state union d.d_virgin;
-  let st =
-    {
-      slots = Array.init instances (fun idx -> { idx; inst = None; prev_ns = 0 });
-      union;
-      acc = d.d_acc;
-      sync_ns = d.d_sync_ns;
-      sync_import = d.d_sync_import;
-    }
-  in
-  with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
-      (* Re-boot the surviving instances in parallel (deterministic per
-         checkpoint, exactly like Campaign.resume). *)
-      let boots =
-        fleet_map.fmap
-          (fun (idx, slot_data) ->
-            match slot_data with
-            | None -> None
-            | Some (prev_ns, ckpt) -> (
-              try
-                Some
-                  (prev_ns, Campaign.resume_inst ~profile ~collect_exports:true ckpt entry)
-              with exn ->
-                Printf.eprintf
-                  "nyx: fleet instance %d resume failed (%s); quarantined\n%!"
-                  idx (exn_brief exn);
-                None))
-          (Array.mapi (fun i s -> (i, s)) d.d_slots)
-      in
-      Array.iteri
-        (fun i b ->
-          match b with
-          | Some (prev_ns, inst) ->
-            st.slots.(i).inst <- Some inst;
-            st.slots.(i).prev_ns <- prev_ns
-          | None -> ())
-        boots;
-      drive st ~fleet_map ~workers ~checkpoint);
-  let outcome = finalize_sync st ~instances ~workers t0 in
-  trace_fleet_end outcome;
-  outcome
+  with_fleet_trace ~instances ~sync_ns:(Some d.d_sync_ns) entry (fun () ->
+      (* Surviving instances re-boot deterministically from their
+         checkpoints, exactly like Campaign.resume. *)
+      run_sync ~instances ~workers:(resolved_domains domains) ~batch ~checkpoint
+        ~union ~acc:d.d_acc ~sync_ns:d.d_sync_ns ~sync_import:d.d_sync_import t0
+        ~boot:(fun i ->
+          Option.map
+            (fun (prev_ns, ckpt) ->
+              (prev_ns, Campaign.resume_inst ~profile ~collect_exports:true ckpt entry))
+            d.d_slots.(i)))

@@ -195,16 +195,60 @@ let test_kill_resume_bit_identical () =
     [ 1; 2 ]
 
 let test_resume_rejects_garbage () =
-  let path = Filename.temp_file "nyx_fleet_bad" ".bin" in
+  (* A valid NYXFLT1 header, no epoch rows, a slot count of 2^40 and one
+     dead slot: 87 bytes whose slot count must be checked against the
+     bytes left before anything is allocated for it. *)
+  let huge_slot_count =
+    let b = Buffer.create 87 in
+    Buffer.add_string b "NYXFLT1";
+    List.iter
+      (fun v -> Buffer.add_int64_be b (Int64.of_int v))
+      [
+        150_000_000 (* sync_ns *);
+        1 (* sync_import *);
+        0 (* epoch *);
+        0 (* work_ns *);
+        0 (* makespan_ns *);
+        0 (* checkpoint ordinal *);
+        0 (* union map length *);
+        0 (* epoch rows *);
+        1 lsl 40 (* slots *);
+        0 (* slot 0: dead *);
+      ];
+    Buffer.contents b
+  in
+  List.iter
+    (fun (what, data) ->
+      let path = Filename.temp_file "nyx_fleet_bad" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc data;
+          close_out oc;
+          match Fleet.resume ~path (echo_entry ()) with
+          | _ -> Alcotest.fail (what ^ ": resume must reject garbage")
+          | exception Invalid_argument _ -> ()))
+    [
+      ("not a checkpoint", "not a fleet checkpoint");
+      ("2^40 slots in 87 bytes", huge_slot_count);
+    ]
+
+(* The NYXFLT1 layout, pinned by the file a small fixed synced fleet
+   writes (the NYXCKP1 counterpart is in test_resilience): a
+   self-consistent format change would still pass kill + resume. *)
+let test_checkpoint_golden_bytes () =
+  let path = Filename.temp_file "nyx_fleet_golden" ".bin" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "not a fleet checkpoint";
-      close_out oc;
-      match Fleet.resume ~path (echo_entry ()) with
-      | _ -> Alcotest.fail "resume must reject garbage"
-      | exception Invalid_argument _ -> ())
+      let checkpoint = Fleet.checkpointing ~path ~every_epochs:2 () in
+      ignore
+        (sync_run ~instances:2 ~sync_ns:150_000_000 ~checkpoint (cfg ())
+           (echo_entry ()));
+      Alcotest.(check string)
+        "NYXFLT1 file digest" "34b9dd138cee91ab6cc6d9ffa00c3b5f"
+        (Digest.to_hex (Digest.file path)))
 
 let test_checkpoint_requires_sync () =
   let path = Filename.temp_file "nyx_fleet_req" ".bin" in
@@ -314,6 +358,7 @@ let () =
             test_kill_resume_bit_identical;
           Alcotest.test_case "rejects garbage" `Quick
             test_resume_rejects_garbage;
+          Alcotest.test_case "golden bytes" `Quick test_checkpoint_golden_bytes;
         ] );
       ( "observability",
         [

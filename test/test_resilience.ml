@@ -658,6 +658,15 @@ let test_checkpoint_roundtrip () =
       | Ok t' -> check_bool "file roundtrip" true (t' = t)
       | Error m -> Alcotest.fail m)
 
+(* The NYXCKP1 layout, pinned: the round-trip tests alone would pass a
+   self-consistent format change that leaves every checkpoint already on
+   disk unreadable. A deliberate format change bumps the magic and this
+   digest together. *)
+let test_checkpoint_golden_bytes () =
+  Alcotest.(check string)
+    "NYXCKP1 encoding digest" "d9883be026aea7bfa11687972e03b4dd"
+    (Digest.to_hex (Digest.bytes (Checkpoint.encode (sample_checkpoint ()))))
+
 let test_checkpoint_rejects_corrupt () =
   let t = sample_checkpoint () in
   let enc = Checkpoint.encode t in
@@ -830,6 +839,7 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "codec roundtrip" `Quick test_checkpoint_roundtrip;
+          Alcotest.test_case "golden bytes" `Quick test_checkpoint_golden_bytes;
           Alcotest.test_case "rejects corrupt input" `Quick
             test_checkpoint_rejects_corrupt;
           Alcotest.test_case "checkpointing is observational" `Slow
