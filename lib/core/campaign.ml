@@ -588,11 +588,12 @@ let main_loop st =
         else Policy.notify_no_news st.policy ~input_id)
   done
 
-let finish st wall0 =
+let finish st ~wall_s =
+  let w0 = Nyx_parallel.Wall.now_s () in
   sample ~force:true st;
   let virtual_ns = now st in
   let final_edges = Coverage.Cumulative.edge_count st.cumulative in
-  let wall_s = Nyx_parallel.Wall.now_s () -. wall0 in
+  let wall_s = wall_s +. (Nyx_parallel.Wall.now_s () -. w0) in
   if Nyx_obs.Trace.on () then
     Nyx_obs.Trace.span_end ~vns:virtual_ns "campaign"
       [
@@ -688,7 +689,17 @@ let trace_campaign_begin st =
    start + step-to-infinity + finalize, so the unstepped path is
    byte-identical to the historical one. *)
 
-type inst = { st : state; wall0 : float }
+(* [wall_s] sums the wall time spent inside the instance's own calls
+   (start or resume, step, sync_charge, import, finalize). A synced fleet
+   steps its instances in turn, so the time between calls belongs to the
+   peers. *)
+type inst = { st : state; mutable wall_s : float }
+
+let own inst f =
+  let w0 = Nyx_parallel.Wall.now_s () in
+  let r = f () in
+  inst.wall_s <- inst.wall_s +. (Nyx_parallel.Wall.now_s () -. w0);
+  r
 
 (* Boot the target and build an empty campaign state — the one place a
    [state] is constructed. The RNG chain is drawn in a fixed order: the
@@ -698,7 +709,6 @@ type inst = { st : state; wall0 : float }
    the original run, which makes the re-boot reproduce the original
    guest layout bit-for-bit. *)
 let boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry =
-  let wall0 = Nyx_parallel.Wall.now_s () in
   let rng = Nyx_sim.Rng.create cfg.seed in
   let layout_cookie = Nyx_sim.Rng.int rng 1_000_000 in
   let prof = if profile then Some (Nyx_obs.Profile.create ()) else None in
@@ -749,10 +759,11 @@ let boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry =
       until_ns = max_int;
     }
   in
-  { st; wall0 }
+  { st; wall_s = 0.0 }
 
 let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
     ?checkpoint ?(collect_exports = false) cfg entry =
+  let w0 = Nyx_parallel.Wall.now_s () in
   let spec = net_spec () in
   let inst =
     boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry
@@ -815,16 +826,18 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
       (Corpus.add st.corpus
          ~program:(Nyx_spec.Net_spec.seed_of_packets spec [])
          ~exec_ns:0 ~discovered_ns:(now st) ~state_code:0);
+  inst.wall_s <- Nyx_parallel.Wall.now_s () -. w0;
   inst
 
 let step inst ~until_ns =
-  inst.st.until_ns <- until_ns;
-  main_loop inst.st
+  own inst (fun () ->
+      inst.st.until_ns <- until_ns;
+      main_loop inst.st)
 
 let finished inst = over_budget inst.st
 let clock_ns inst = now inst.st
 let execs inst = inst.st.execs
-let finalize inst = finish inst.st inst.wall0
+let finalize inst = finish inst.st ~wall_s:inst.wall_s
 
 (* At a sync barrier the instance is paused at the loop top (no open
    session, per-execution state about to be reset), which is exactly the
@@ -842,10 +855,11 @@ let drain_exports inst =
 let sync_charge inst ~programs ~cells =
   if programs > 0 || cells > 0 then
     let st = inst.st in
-    prof_span st Nyx_obs.Profile.Corpus_sync (fun () ->
-        Nyx_sim.Clock.advance (Executor.clock st.exec)
-          ((programs * Nyx_sim.Cost.sync_judge_program)
-          + (cells * Nyx_sim.Cost.sync_merge_per_cell)))
+    own inst (fun () ->
+        prof_span st Nyx_obs.Profile.Corpus_sync (fun () ->
+            Nyx_sim.Clock.advance (Executor.clock st.exec)
+              ((programs * Nyx_sim.Cost.sync_judge_program)
+              + (cells * Nyx_sim.Cost.sync_merge_per_cell))))
 
 (* Import one peer export: judge it against this instance's own virgin
    map (O(saved cells), no re-execution) and adopt it into the corpus if
@@ -853,20 +867,21 @@ let sync_charge inst ~programs ~cells =
    under the [Corpus_sync] phase. Returns whether it was adopted. *)
 let import inst (e : export) =
   let st = inst.st in
-  prof_span st Nyx_obs.Profile.Corpus_sync (fun () ->
-      Nyx_sim.Clock.advance (Executor.clock st.exec)
-        (Nyx_sim.Cost.sync_judge_program
-        + (e.ex_cells * Nyx_sim.Cost.sync_merge_per_cell));
-      let novel = Coverage.Cumulative.merge_saved st.cumulative e.ex_cov in
-      if novel then begin
-        Nyx_sim.Clock.advance (Executor.clock st.exec)
-          Nyx_sim.Cost.sync_import_program;
-        ignore
-          (Corpus.add st.corpus ~program:e.ex_program ~exec_ns:e.ex_exec_ns
-             ~discovered_ns:(now st) ~state_code:e.ex_state_code);
-        sample ~force:true st
-      end;
-      novel)
+  own inst (fun () ->
+      prof_span st Nyx_obs.Profile.Corpus_sync (fun () ->
+          Nyx_sim.Clock.advance (Executor.clock st.exec)
+            (Nyx_sim.Cost.sync_judge_program
+            + (e.ex_cells * Nyx_sim.Cost.sync_merge_per_cell));
+          let novel = Coverage.Cumulative.merge_saved st.cumulative e.ex_cov in
+          if novel then begin
+            Nyx_sim.Clock.advance (Executor.clock st.exec)
+              Nyx_sim.Cost.sync_import_program;
+            ignore
+              (Corpus.add st.corpus ~program:e.ex_program ~exec_ns:e.ex_exec_ns
+                 ~discovered_ns:(now st) ~state_code:e.ex_state_code);
+            sample ~force:true st
+          end;
+          novel))
 
 let run_to_end inst =
   step inst ~until_ns:max_int;
@@ -902,12 +917,14 @@ let resume_inst ?custom ?(profile = false) ?checkpoint
               peer script"
              ckpt.Checkpoint.c_target))
   in
+  let w0 = Nyx_parallel.Wall.now_s () in
   let spec = net_spec () in
   let inst =
     boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry
   in
   restore ~spec inst.st ckpt;
   trace_campaign_begin inst.st;
+  inst.wall_s <- Nyx_parallel.Wall.now_s () -. w0;
   inst
 
 let resume ?custom ?(profile = false) ?checkpoint (ckpt : Checkpoint.t) entry =

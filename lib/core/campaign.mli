@@ -192,7 +192,11 @@ val execs : inst -> int
 
 val finalize : inst -> Report.campaign_result
 (** Freeze the result (identical to what {!run} would have returned for
-    the same step schedule). Call once, after the last step. *)
+    the same step schedule). Call once, after the last step. The
+    result's [wall_s] is the wall time spent inside this instance's own
+    calls ([start] or {!resume_inst}, [step], [import], [sync_charge],
+    [finalize]), not the time elapsed since [start]: between steps, a
+    fleet is running the peers. *)
 
 val drain_exports : inst -> export list
 (** Remove and return the exports queued since the last drain, in

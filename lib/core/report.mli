@@ -89,9 +89,12 @@ type campaign_result = {
   snapshot_stats : Nyx_snapshot.Engine.stats option;
       (** snapshot engine counters (Nyx-Net campaigns only) *)
   wall_s : float;
-      (** real wall-clock the campaign took. Informational only: every
-          other field is a deterministic function of the config, so two
-          same-seed campaigns agree on everything but this. *)
+      (** real wall-clock time spent in this campaign's own work: its
+          boot, main-loop steps, corpus-sync calls and finalize. For a
+          fleet instance that excludes the time the fleet spent on its
+          peers between steps. Informational only: every other field is
+          a deterministic function of the config, so two same-seed
+          campaigns agree on everything but this. *)
   phase_profile : Nyx_obs.Profile.snapshot option;
       (** per-phase cost breakdown (reset / prefix-replay / suffix-exec /
           snapshot-create / cov-merge / trim / other) when the campaign

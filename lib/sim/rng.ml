@@ -1,21 +1,30 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer, not a mutable [int64]
+   field: [Bytes.get_int64_ne] and [Bytes.set_int64_ne] are unboxed
+   primitives, so a draw allocates nothing, where storing into a record
+   field would box a fresh [int64] on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
 
 (* splitmix64 step: one 64-bit output per call. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
-let state t = t.state
-let set_state t s = t.state <- s
+let state t = Bytes.get_int64_ne t 0
+let set_state t s = Bytes.set_int64_ne t 0 s
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -30,7 +39,7 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let float t x =
+let[@inline] float t x =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x *. v /. 9007199254740992.0 (* 2^53 *)
 
@@ -62,13 +71,37 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+(* Loops over local float refs, which stay unboxed, so a pick allocates
+   nothing. The weights are summed left to right and compared as
+   [not (acc +. w > target)]: the exact float operations of a left fold,
+   so picks are reproducible bit for bit (NaN included). *)
 let weighted t pairs =
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
-  if total <= 0.0 then invalid_arg "Rng.weighted: non-positive total weight";
-  let target = float t total in
-  let rec pick acc = function
+  let total = ref 0.0 and l = ref pairs in
+  while
+    match !l with
+    | [] -> false
+    | (_, w) :: rest ->
+      total := !total +. w;
+      l := rest;
+      true
+  do
+    ()
+  done;
+  if !total <= 0.0 then invalid_arg "Rng.weighted: non-positive total weight";
+  let target = float t !total in
+  let acc = ref 0.0 and l = ref pairs in
+  while
+    match !l with
     | [] -> invalid_arg "Rng.weighted: empty list"
-    | [ (x, _) ] -> x
-    | (x, w) :: rest -> if acc +. w > target then x else pick (acc +. w) rest
-  in
-  pick 0.0 pairs
+    | [ _ ] -> false
+    | (_, w) :: rest ->
+      (not (!acc +. w > target))
+      && begin
+           acc := !acc +. w;
+           l := rest;
+           true
+         end
+  do
+    ()
+  done;
+  fst (List.hd !l)

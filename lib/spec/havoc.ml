@@ -2,74 +2,85 @@ open Nyx_sim
 
 let interesting_bytes = [| 0; 1; 16; 32; 64; 100; 127; 128; 255 |]
 
-let clamp max_len b = if Bytes.length b > max_len then Bytes.sub b 0 max_len else b
+(* The working buffer: [len] live bytes at the front of [buf], which grows
+   by doubling. Every round edits it in place; it starts as a private copy
+   of the input, so nothing here writes into the caller's bytes. *)
+type work = { mutable buf : Bytes.t; mutable len : int }
 
-let delete_range rng b =
-  let len = Bytes.length b in
-  if len < 2 then b
-  else begin
-    let start = Rng.int rng len in
-    let dlen = 1 + Rng.int rng (min 16 (len - start)) in
-    Bytes.cat (Bytes.sub b 0 start) (Bytes.sub b (start + dlen) (len - start - dlen))
+(* Open a gap of [k] bytes at [at], shifting the tail right. *)
+let open_gap w at k =
+  if w.len + k > Bytes.length w.buf then begin
+    let bigger = Bytes.create (max (2 * Bytes.length w.buf) (w.len + k)) in
+    Bytes.blit w.buf 0 bigger 0 w.len;
+    w.buf <- bigger
+  end;
+  Bytes.blit w.buf at w.buf (at + k) (w.len - at);
+  w.len <- w.len + k
+
+(* The byte ops draw the position, then the new value. *)
+let byte_op rng w choice =
+  if w.len > 0 then begin
+    let i = Rng.int rng w.len in
+    let c = Char.code (Bytes.get w.buf i) in
+    let c =
+      match choice with
+      | 0 -> c lxor (1 lsl Rng.int rng 8)
+      | 1 -> Rng.choose rng interesting_bytes
+      | 2 -> Char.code (Rng.byte rng)
+      | _ -> c + Rng.int_in rng (-16) 16
+    in
+    Bytes.set w.buf i (Char.chr (c land 0xff))
   end
 
-let duplicate_range rng b =
-  let len = Bytes.length b in
-  if len = 0 then b
-  else begin
-    let start = Rng.int rng len in
-    let dlen = 1 + Rng.int rng (min 16 (len - start)) in
-    let chunk = Bytes.sub b start dlen in
-    let at = Rng.int rng (len + 1) in
-    Bytes.concat Bytes.empty [ Bytes.sub b 0 at; chunk; Bytes.sub b at (len - at) ]
+let delete_range rng w =
+  if w.len >= 2 then begin
+    let start = Rng.int rng w.len in
+    let dlen = 1 + Rng.int rng (min 16 (w.len - start)) in
+    Bytes.blit w.buf (start + dlen) w.buf start (w.len - start - dlen);
+    w.len <- w.len - dlen
   end
 
-let insert_random rng b =
-  let len = Bytes.length b in
-  let at = Rng.int rng (len + 1) in
-  let chunk = Rng.bytes rng (1 + Rng.int rng 8) in
-  Bytes.concat Bytes.empty [ Bytes.sub b 0 at; chunk; Bytes.sub b at (len - at) ]
+let duplicate_range rng w =
+  if w.len > 0 then begin
+    let start = Rng.int rng w.len in
+    let dlen = 1 + Rng.int rng (min 16 (w.len - start)) in
+    let chunk = Bytes.sub w.buf start dlen in
+    let at = Rng.int rng (w.len + 1) in
+    open_gap w at dlen;
+    Bytes.blit chunk 0 w.buf at dlen
+  end
 
-let splice_dict rng dict b =
+let insert_random rng w =
+  let at = Rng.int rng (w.len + 1) in
+  let k = 1 + Rng.int rng 8 in
+  open_gap w at k;
+  for j = at to at + k - 1 do
+    Bytes.set w.buf j (Rng.byte rng)
+  done
+
+let splice_dict rng dict w =
   match dict with
-  | [] -> b
+  | [] -> ()
   | _ ->
     let token = Rng.choose_list rng dict in
-    let len = Bytes.length b in
-    let at = Rng.int rng (len + 1) in
-    if Rng.bool rng && len > at + Bytes.length token then begin
-      (* Overwrite in place. *)
-      let out = Bytes.copy b in
-      Bytes.blit token 0 out at (Bytes.length token);
-      out
-    end
-    else Bytes.concat Bytes.empty [ Bytes.sub b 0 at; token; Bytes.sub b at (len - at) ]
-
-let in_place_byte_op rng b f =
-  let len = Bytes.length b in
-  if len = 0 then b
-  else begin
-    let out = Bytes.copy b in
-    let i = Rng.int rng len in
-    Bytes.set out i (Char.chr (f (Char.code (Bytes.get out i)) land 0xff));
-    out
-  end
+    let tlen = Bytes.length token in
+    let at = Rng.int rng (w.len + 1) in
+    (* Overwrite in place, or insert. *)
+    if not (Rng.bool rng && w.len > at + tlen) then open_gap w at tlen;
+    Bytes.blit token 0 w.buf at tlen
 
 let mutate rng ?(dict = []) ?(max_len = 4096) ?(rounds = 8) data =
   let n = 1 + Rng.int rng rounds in
-  let b = ref (Bytes.copy data) in
+  let w = { buf = Bytes.copy data; len = Bytes.length data } in
   for _ = 1 to n do
-    let choice = Rng.int rng 8 in
-    b :=
-      (match choice with
-      | 0 -> in_place_byte_op rng !b (fun c -> c lxor (1 lsl Rng.int rng 8))
-      | 1 -> in_place_byte_op rng !b (fun _ -> Rng.choose rng interesting_bytes)
-      | 2 -> in_place_byte_op rng !b (fun _ -> Char.code (Rng.byte rng))
-      | 3 -> in_place_byte_op rng !b (fun c -> c + Rng.int_in rng (-16) 16)
-      | 4 -> delete_range rng !b
-      | 5 -> duplicate_range rng !b
-      | 6 -> insert_random rng !b
-      | 7 -> splice_dict rng dict !b
-      | _ -> assert false)
+    match Rng.int rng 8 with
+    | (0 | 1 | 2 | 3) as choice -> byte_op rng w choice
+    | 4 -> delete_range rng w
+    | 5 -> duplicate_range rng w
+    | 6 -> insert_random rng w
+    | 7 -> splice_dict rng dict w
+    | _ -> assert false
   done;
-  clamp max_len !b
+  let len = min w.len max_len in
+  (* The buffer is private, so an exact fit can be returned as is. *)
+  if len = Bytes.length w.buf then w.buf else Bytes.sub w.buf 0 len

@@ -92,110 +92,162 @@ let with_snapshot_at t i =
   in
   { t with ops }
 
+(* Repair helpers. Each takes its operands as arguments rather than
+   closing over them, so calling one allocates nothing. *)
+
+(* Edge-type id of input slot [i]: the borrows come first, then the
+   consumes. *)
+let slot_ty (nt : Spec.node_ty) n_borrows i =
+  (if i < n_borrows then List.nth nt.Spec.borrows i
+   else List.nth nt.Spec.consumes (i - n_borrows))
+    .Spec.et_id
+
+(* [v] is bound in one of the slots [j, i) of [args]. *)
+let rec bound_in args v j i = j < i && (args.(j) = v || bound_in args v (j + 1) i)
+
+(* [data] has exactly the node's fields, each within its bound. *)
+let rec data_fits data i = function
+  | [] -> i = Array.length data
+  | (dt : Spec.data_ty) :: rest ->
+    i < Array.length data
+    && Bytes.length data.(i) <= dt.Spec.max_len
+    && data_fits data (i + 1) rest
+
+(* One field per declared data type: missing fields are empty, oversized
+   ones are clamped, extra ones are dropped. *)
+let fit_data (nt : Spec.node_ty) data =
+  Array.of_list
+    (List.mapi
+       (fun i (dt : Spec.data_ty) ->
+         let d = if i < Array.length data then data.(i) else Bytes.empty in
+         if Bytes.length d > dt.Spec.max_len then Bytes.sub d 0 dt.Spec.max_len else d)
+       nt.Spec.data)
+
+let rec push_outputs ty n = function
+  | [] -> n
+  | (et : Spec.edge_ty) :: rest ->
+    ty.(n) <- et.Spec.et_id;
+    push_outputs ty (n + 1) rest
+
+(* One pass over the ops and an int value table: [ty.(v)] is the edge-type
+   id of output value [v], or -1 once [v] is consumed. Values are numbered
+   in output order, so "newest first" means highest index first. An op
+   whose bindings are all usable and whose data fit is kept physically;
+   only the ops that change, and the ops array when one does, are new. *)
 let repair ?rng t =
-  let open Spec in
-  let available = ref [] (* (value index, edge_ty), newest first, unconsumed *) in
+  let ops = t.ops in
+  let n_ops = Array.length ops in
+  let n_nodes = Spec.node_count t.spec in
+  let known op = op.node >= 0 && op.node < n_nodes in
+  let cap = ref 0 in
+  for i = 0 to n_ops - 1 do
+    if known ops.(i) then
+      cap := !cap + List.length (Spec.node t.spec ops.(i).node).Spec.outputs
+  done;
+  let ty = Array.make !cap (-1) in
   let n_values = ref 0 in
-  let out = ref [] in
-  let pick ty =
-    let candidates = List.filter (fun (_, et) -> et.et_id = ty.et_id) !available in
-    match candidates with
-    | [] -> None
-    | first :: _ -> (
-      match rng with
-      | None -> Some (fst first)
-      | Some rng -> Some (fst (Nyx_sim.Rng.choose_list rng candidates)))
+  (* Value [v] can fill slot [i] (of type [et]) of an op whose earlier
+     slots hold [args]: it is live, of the right type, and not already
+     consumed by an earlier consume slot of the same op. *)
+  let usable args n_borrows i et v =
+    v >= 0 && v < !n_values && ty.(v) = et && not (bound_in args v n_borrows i)
   in
-  Array.iter
-    (fun op ->
-      match Spec.node t.spec op.node with
-      | exception Invalid_argument _ -> () (* unknown opcode: drop *)
-      | nt ->
-        let inputs = op_inputs nt in
-        let n_borrows = List.length nt.borrows in
-        (* Try to keep existing bindings when they are still valid, fixing
-           only the broken ones. Consumed slots must bind distinct values. *)
-        let chosen = ref [] in
-        let consumed_here = ref [] in
-        let ok =
-          List.for_all
-            (fun (i, expected) ->
-              let is_consume = i >= n_borrows in
-              let usable v =
-                List.exists (fun (v', et) -> v' = v && et.et_id = expected.et_id) !available
-                && not (List.mem v !consumed_here)
-              in
-              let current = if i < Array.length op.args then op.args.(i) else -1 in
-              let binding =
-                if usable current then Some current
-                else
-                  match pick expected with
-                  | Some v when usable v -> Some v
-                  | _ ->
-                    (* The random pick may collide with a value consumed by
-                       an earlier slot of this op; fall back to the newest
-                       usable one. *)
-                    List.find_opt (fun (v, _) -> usable v) !available
-                    |> Option.map fst
-              in
-              match binding with
-              | None -> false
-              | Some v ->
-                chosen := !chosen @ [ v ];
-                if is_consume then consumed_here := v :: !consumed_here;
-                true)
-            (List.mapi (fun i e -> (i, e)) inputs)
-        in
-        if ok then begin
-          let args = Array.of_list !chosen in
-          (* Consumed values leave the available pool. *)
-          let n_borrows = List.length nt.borrows in
-          List.iteri
-            (fun i _ ->
-              let v = args.(n_borrows + i) in
-              available := List.filter (fun (v', _) -> v' <> v) !available)
-            nt.consumes;
-          let data =
-            Array.of_list
-              (List.mapi
-                 (fun i dt ->
-                   let d = if i < Array.length op.data then op.data.(i) else Bytes.empty in
-                   if Bytes.length d > dt.max_len then Bytes.sub d 0 dt.max_len else d)
-                 nt.data)
-          in
-          List.iter
-            (fun ty ->
-              available := (!n_values, ty) :: !available;
-              incr n_values)
-            nt.outputs;
-          out := { node = op.node; args; data } :: !out
-        end
-        else
-          (* Op dropped: still account for the values it would have produced
-             so later indices stay consistent? No — later args are rebound
-             against the real pool, so nothing else is needed. *)
-          ())
-    t.ops;
-  let repaired = { t with ops = Array.of_list (List.rev !out) } in
-  (* Deduplicate snapshot ops: keep the first. *)
-  match validate repaired with
-  | Ok () -> repaired
-  | Error _ ->
-    let seen_snapshot = ref false in
-    let ops =
-      Array.of_seq
-        (Seq.filter
-           (fun op ->
-             if op.node = Spec.snapshot_node_id then
-               if !seen_snapshot then false
-               else begin
-                 seen_snapshot := true;
+  (* A new value for slot [i]: with [rng], one draw over the live values
+     of type [et], newest first (values an earlier consume slot of this
+     op took still count); without, the newest. If the pick collides with
+     such a value, the newest usable one. -1 when there is none. *)
+  let pick args n_borrows i et =
+    let count = ref 0 in
+    for v = 0 to !n_values - 1 do
+      if ty.(v) = et then incr count
+    done;
+    if !count = 0 then -1
+    else begin
+      let k = match rng with None -> 0 | Some rng -> Nyx_sim.Rng.int rng !count in
+      let v = ref !n_values and seen = ref (-1) in
+      while !seen < k do
+        decr v;
+        if ty.(!v) = et then incr seen
+      done;
+      if usable args n_borrows i et !v then !v
+      else begin
+        let v = ref (!n_values - 1) in
+        while !v >= 0 && not (usable args n_borrows i et !v) do
+          decr v
+        done;
+        !v
+      end
+    end
+  in
+  (* The output shares [ops] until the first op that differs from the
+     input at its position. *)
+  let out = ref ops and n_out = ref 0 in
+  let emit op =
+    if !out == ops && op != ops.(!n_out) then out := Array.copy ops;
+    if !out != ops then !out.(!n_out) <- op;
+    incr n_out
+  in
+  let snapshot_seen = ref false in
+  for opi = 0 to n_ops - 1 do
+    let op = ops.(opi) in
+    (* Unknown opcodes and every snapshot opcode after the first are
+       dropped; neither binds nor produces a value. *)
+    if known op && not (op.node = Spec.snapshot_node_id && !snapshot_seen) then begin
+      let nt = Spec.node t.spec op.node in
+      let n_borrows = List.length nt.Spec.borrows in
+      let n_in = n_borrows + List.length nt.Spec.consumes in
+      let cur = op.args in
+      let n_cur = Array.length cur in
+      (* Keep current bindings while they are usable. *)
+      let kept = ref 0 in
+      while
+        !kept < n_in && !kept < n_cur
+        && usable cur n_borrows !kept (slot_ty nt n_borrows !kept) cur.(!kept)
+      do
+        incr kept
+      done;
+      let args, filled =
+        if !kept = n_in && n_cur = n_in then (cur, n_in)
+        else begin
+          let args = Array.make n_in 0 in
+          Array.blit cur 0 args 0 !kept;
+          (* Rebind from the first broken slot on, stopping at the first
+             slot nothing can fill: the op is then dropped. *)
+          let i = ref !kept in
+          while
+            !i < n_in
+            &&
+            let et = slot_ty nt n_borrows !i in
+            let current = if !i < n_cur then cur.(!i) else -1 in
+            let v =
+              if usable args n_borrows !i et current then current
+              else pick args n_borrows !i et
+            in
+            v >= 0
+            && begin
+                 args.(!i) <- v;
+                 incr i;
                  true
                end
-             else true)
-           (Array.to_seq repaired.ops))
-    in
-    { repaired with ops }
+          do
+            ()
+          done;
+          (args, !i)
+        end
+      in
+      if filled = n_in then begin
+        for j = n_borrows to n_in - 1 do
+          ty.(args.(j)) <- -1
+        done;
+        n_values := push_outputs ty !n_values nt.Spec.outputs;
+        if op.node = Spec.snapshot_node_id then snapshot_seen := true;
+        let data = if data_fits op.data 0 nt.Spec.data then op.data else fit_data nt op.data in
+        emit (if args == cur && data == op.data then op else { node = op.node; args; data })
+      end
+    end
+  done;
+  if !out == ops && !n_out = n_ops then t
+  else { t with ops = (if !n_out = Array.length !out then !out else Array.sub !out 0 !n_out) }
 
 (* Wire format *)
 

@@ -5,7 +5,15 @@
     executes and the mutators edit. Executing ops produces a global
     sequence of values; argument slots refer to earlier values by index.
     The [snapshot] opcode (node 0) may appear at most once and delimits
-    the prefix executed before the incremental snapshot is taken. *)
+    the prefix executed before the incremental snapshot is taken.
+
+    Programs are immutable values. The arrays are mutable in OCaml, but
+    no code writes into a program's [ops], an op's [args] or its [data]
+    (or the bytes inside): every editor copies first
+    ({!Mutator.mutate}'s payload havoc, the minimizer's shrinking and
+    canonicalizing steps). So ops, payloads and whole programs may be
+    shared between corpus entries and mutants; {!repair} relies on this
+    when it returns unchanged ops physically shared with its input. *)
 
 type op = { node : int; args : int array; data : bytes array }
 
@@ -33,8 +41,16 @@ val strip_snapshots : t -> t
 val repair : ?rng:Nyx_sim.Rng.t -> t -> t
 (** Rebind dangling or type-incorrect argument indices to available values
     of the right type (most recent by default, random with [rng]) and drop
-    ops whose inputs cannot be satisfied; clamp oversized data. The result
-    always passes {!validate}. *)
+    ops whose inputs cannot be satisfied; clamp oversized data. Unknown
+    opcodes and every snapshot opcode after the first are dropped. The
+    result always passes {!validate}.
+
+    Valid bindings are kept verbatim: an op whose bindings are all usable
+    and whose data fit is returned physically, and a program that needs
+    no change is returned as is. With [rng], each slot that needs a new
+    value makes one [Rng.int] draw over the live values of its type
+    (newest first), so a valid program costs no draw. One linear pass;
+    it allocates only for the ops it changes. *)
 
 (** {1 Wire format} *)
 

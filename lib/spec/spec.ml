@@ -59,4 +59,5 @@ let node_by_name t n =
   | None -> raise Not_found
 
 let nodes t = Array.copy t.node_arr
+let node_count t = Array.length t.node_arr
 let snapshot_node t = t.node_arr.(0)

@@ -62,4 +62,8 @@ val node_by_name : t -> string -> node_ty
 val nodes : t -> node_ty array
 (** All node types, including the snapshot opcode at index 0. *)
 
+val node_count : t -> int
+(** [Array.length (nodes t)] without the copy: ids [0 .. node_count t - 1]
+    are exactly the known node types. *)
+
 val snapshot_node : t -> node_ty

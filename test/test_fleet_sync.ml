@@ -327,6 +327,18 @@ let test_trace_sync_epoch_spans () =
          e.Nyx_obs.Trace.name = "sync-epoch" && e.Nyx_obs.Trace.ph = `B)
        events)
 
+(* An instance's wall time covers only its own calls. A synced fleet on
+   one domain steps its instances in turn, so their wall times are
+   disjoint slices of the fleet's and cannot sum past it. *)
+let test_instance_wall_excludes_peers () =
+  let entry = Option.get (Nyx_targets.Registry.find "dnsmasq") in
+  let o = sync_run ~domains:1 ~instances:2 ~profile:true (cfg ()) entry in
+  check_int "two instances" 2 (List.length o.Fleet.results);
+  let sum = List.fold_left (fun acc r -> acc +. r.Report.wall_s) 0.0 o.Fleet.results in
+  if sum > o.Fleet.wall_s then
+    Alcotest.failf "instance wall_s sum %.6f s exceeds fleet wall_s %.6f s" sum
+      o.Fleet.wall_s
+
 let () =
   Alcotest.run "nyx_fleet_sync"
     [
@@ -366,5 +378,7 @@ let () =
             test_profile_has_corpus_sync_phase;
           Alcotest.test_case "sync-epoch trace spans" `Quick
             test_trace_sync_epoch_spans;
+          Alcotest.test_case "instance wall excludes peers" `Quick
+            test_instance_wall_excludes_peers;
         ] );
     ]

@@ -1,15 +1,20 @@
-(* Hot-loop equivalence suite (journaled coverage + O(1) corpus).
+(* Hot-loop equivalence suite (journaled coverage, O(1) corpus,
+   allocation-light mutation).
 
    Two layers of proof that the O(touched) hot path changed nothing but
    mechanical cost:
    - property tests: the journaled implementations agree with the
      [_slow] full-scan references (and with an independent model of the
-     AFL hashing scheme) under randomized hit sequences, and the indexed
+     AFL hashing scheme) under randomized hit sequences; the indexed
      corpus makes bit-identical scheduling picks to a reimplementation
-     of the pre-change list-based corpus;
+     of the pre-change list-based corpus; the in-place mutators and the
+     one-pass [Program.repair] return what the list-based originals
+     returned and leave the RNG in the same state; the unboxed RNG
+     replays a boxed-[int64] splitmix64;
    - campaign identity: fixed-seed campaigns reproduce, field for field,
      the results recorded from the pre-change implementation (captured
-     at commit 25b4f18, before the journal/array rewrite). *)
+     at commit 25b4f18, before the journal/array rewrite, and, for the
+     typed-engine and peer-mode goldens, before the mutation rewrite). *)
 
 open Nyx_core
 module Coverage = Nyx_targets.Coverage
@@ -222,6 +227,531 @@ let test_corpus_programs_cached () =
   check_int "grown snapshot" 6 (Array.length a2)
 
 (* ------------------------------------------------------------------ *)
+(* Mutation: the pre-change list-based [Program.repair],
+   [Mutator.mutate] and [Havoc.mutate], reproduced verbatim (commit
+   5b69560), must produce structurally equal results and leave the RNG
+   in the same state as the in-place array versions.                  *)
+
+module Rng = Nyx_sim.Rng
+module Spec = Nyx_spec.Spec
+module Program = Nyx_spec.Program
+
+module Ref_mutation = struct
+  open Nyx_spec
+
+  let op_inputs (nt : Spec.node_ty) = nt.Spec.borrows @ nt.Spec.consumes
+
+  let repair ?rng (t : Program.t) =
+    let open Spec in
+    let available = ref [] (* (value index, edge_ty), newest first, unconsumed *) in
+    let n_values = ref 0 in
+    let out = ref [] in
+    let pick ty =
+      let candidates = List.filter (fun (_, et) -> et.et_id = ty.et_id) !available in
+      match candidates with
+      | [] -> None
+      | first :: _ -> (
+        match rng with
+        | None -> Some (fst first)
+        | Some rng -> Some (fst (Rng.choose_list rng candidates)))
+    in
+    Array.iter
+      (fun (op : Program.op) ->
+        match Spec.node t.Program.spec op.Program.node with
+        | exception Invalid_argument _ -> ()
+        | nt ->
+          let inputs = op_inputs nt in
+          let n_borrows = List.length nt.borrows in
+          let chosen = ref [] in
+          let consumed_here = ref [] in
+          let ok =
+            List.for_all
+              (fun (i, expected) ->
+                let is_consume = i >= n_borrows in
+                let usable v =
+                  List.exists (fun (v', et) -> v' = v && et.et_id = expected.et_id) !available
+                  && not (List.mem v !consumed_here)
+                in
+                let current =
+                  if i < Array.length op.Program.args then op.Program.args.(i) else -1
+                in
+                let binding =
+                  if usable current then Some current
+                  else
+                    match pick expected with
+                    | Some v when usable v -> Some v
+                    | _ ->
+                      List.find_opt (fun (v, _) -> usable v) !available |> Option.map fst
+                in
+                match binding with
+                | None -> false
+                | Some v ->
+                  chosen := !chosen @ [ v ];
+                  if is_consume then consumed_here := v :: !consumed_here;
+                  true)
+              (List.mapi (fun i e -> (i, e)) inputs)
+          in
+          if ok then begin
+            let args = Array.of_list !chosen in
+            let n_borrows = List.length nt.borrows in
+            List.iteri
+              (fun i _ ->
+                let v = args.(n_borrows + i) in
+                available := List.filter (fun (v', _) -> v' <> v) !available)
+              nt.consumes;
+            let data =
+              Array.of_list
+                (List.mapi
+                   (fun i dt ->
+                     let d =
+                       if i < Array.length op.Program.data then op.Program.data.(i)
+                       else Bytes.empty
+                     in
+                     if Bytes.length d > dt.max_len then Bytes.sub d 0 dt.max_len else d)
+                   nt.data)
+            in
+            List.iter
+              (fun ty ->
+                available := (!n_values, ty) :: !available;
+                incr n_values)
+              nt.outputs;
+            out := { Program.node = op.Program.node; args; data } :: !out
+          end)
+      t.Program.ops;
+    let repaired = { t with Program.ops = Array.of_list (List.rev !out) } in
+    match Program.validate repaired with
+    | Ok () -> repaired
+    | Error _ ->
+      let seen_snapshot = ref false in
+      let ops =
+        Array.of_seq
+          (Seq.filter
+             (fun (op : Program.op) ->
+               if op.Program.node = Spec.snapshot_node_id then
+                 if !seen_snapshot then false
+                 else begin
+                   seen_snapshot := true;
+                   true
+                 end
+               else true)
+             (Array.to_seq repaired.Program.ops))
+      in
+      { repaired with Program.ops }
+
+  (* Havoc.mutate *)
+
+  let clamp max_len b = if Bytes.length b > max_len then Bytes.sub b 0 max_len else b
+
+  let delete_range rng b =
+    let len = Bytes.length b in
+    if len < 2 then b
+    else begin
+      let start = Rng.int rng len in
+      let dlen = 1 + Rng.int rng (min 16 (len - start)) in
+      Bytes.cat (Bytes.sub b 0 start) (Bytes.sub b (start + dlen) (len - start - dlen))
+    end
+
+  let duplicate_range rng b =
+    let len = Bytes.length b in
+    if len = 0 then b
+    else begin
+      let start = Rng.int rng len in
+      let dlen = 1 + Rng.int rng (min 16 (len - start)) in
+      let chunk = Bytes.sub b start dlen in
+      let at = Rng.int rng (len + 1) in
+      Bytes.concat Bytes.empty [ Bytes.sub b 0 at; chunk; Bytes.sub b at (len - at) ]
+    end
+
+  let insert_random rng b =
+    let len = Bytes.length b in
+    let at = Rng.int rng (len + 1) in
+    let chunk = Rng.bytes rng (1 + Rng.int rng 8) in
+    Bytes.concat Bytes.empty [ Bytes.sub b 0 at; chunk; Bytes.sub b at (len - at) ]
+
+  let splice_dict rng dict b =
+    match dict with
+    | [] -> b
+    | _ ->
+      let token = Rng.choose_list rng dict in
+      let len = Bytes.length b in
+      let at = Rng.int rng (len + 1) in
+      if Rng.bool rng && len > at + Bytes.length token then begin
+        let out = Bytes.copy b in
+        Bytes.blit token 0 out at (Bytes.length token);
+        out
+      end
+      else Bytes.concat Bytes.empty [ Bytes.sub b 0 at; token; Bytes.sub b at (len - at) ]
+
+  let in_place_byte_op rng b f =
+    let len = Bytes.length b in
+    if len = 0 then b
+    else begin
+      let out = Bytes.copy b in
+      let i = Rng.int rng len in
+      Bytes.set out i (Char.chr (f (Char.code (Bytes.get out i)) land 0xff));
+      out
+    end
+
+  let havoc rng ?(dict = []) ?(max_len = 4096) ?(rounds = 8) data =
+    let n = 1 + Rng.int rng rounds in
+    let b = ref (Bytes.copy data) in
+    for _ = 1 to n do
+      let choice = Rng.int rng 8 in
+      b :=
+        (match choice with
+        | 0 -> in_place_byte_op rng !b (fun c -> c lxor (1 lsl Rng.int rng 8))
+        | 1 -> in_place_byte_op rng !b (fun _ -> Rng.choose rng Havoc.interesting_bytes)
+        | 2 -> in_place_byte_op rng !b (fun _ -> Char.code (Rng.byte rng))
+        | 3 -> in_place_byte_op rng !b (fun c -> c + Rng.int_in rng (-16) 16)
+        | 4 -> delete_range rng !b
+        | 5 -> duplicate_range rng !b
+        | 6 -> insert_random rng !b
+        | 7 -> splice_dict rng dict !b
+        | _ -> assert false)
+    done;
+    clamp max_len !b
+
+  (* Mutator.mutate *)
+
+  let random_node rng spec =
+    let all = Spec.nodes spec in
+    let candidates =
+      Array.of_seq
+        (Seq.filter (fun (nt : Spec.node_ty) -> nt.Spec.nt_id <> Spec.snapshot_node_id)
+           (Array.to_seq all))
+    in
+    if Array.length candidates = 0 then None else Some (Rng.choose rng candidates)
+
+  let fresh_op rng spec =
+    match random_node rng spec with
+    | None -> None
+    | Some nt ->
+      let data =
+        Array.of_list
+          (List.map
+             (fun (dt : Spec.data_ty) ->
+               Rng.bytes rng (Rng.int rng (min 64 (dt.Spec.max_len + 1))))
+             nt.Spec.data)
+      in
+      let nargs = List.length nt.Spec.borrows + List.length nt.Spec.consumes in
+      Some { Program.node = nt.Spec.nt_id; args = Array.make nargs 0; data }
+
+  let havoc_op rng dict (op : Program.op) spec =
+    let nt = Spec.node spec op.Program.node in
+    if Array.length op.Program.data = 0 then op
+    else begin
+      let i = Rng.int rng (Array.length op.Program.data) in
+      let dt = List.nth nt.Spec.data i in
+      let data = Array.copy op.Program.data in
+      data.(i) <- havoc rng ~dict ~max_len:dt.Spec.max_len data.(i);
+      { op with Program.data }
+    end
+
+  let mutate rng ?(frozen = 0) ?(max_ops = 24) ?(dict = []) ?(corpus = [||]) (p : Program.t) =
+    let frozen = min frozen (Array.length p.Program.ops) in
+    let prefix = Array.sub p.Program.ops 0 frozen in
+    let suffix =
+      ref (Array.to_list (Array.sub p.Program.ops frozen (Array.length p.Program.ops - frozen)))
+    in
+    suffix := List.filter (fun op -> op.Program.node <> Spec.snapshot_node_id) !suffix;
+    let n_rounds = 1 + Rng.int rng 4 in
+    for _ = 1 to n_rounds do
+      let ops = Array.of_list !suffix in
+      let n = Array.length ops in
+      let choice =
+        Rng.weighted rng
+          [ (`Havoc, 5.0); (`Dup, 1.0); (`Del, 1.0); (`Swap, 1.0); (`Splice, 1.5); (`Append, 1.0) ]
+      in
+      suffix :=
+        (match choice with
+        | `Havoc when n > 0 ->
+          let i = Rng.int rng n in
+          Array.to_list
+            (Array.mapi (fun j op -> if j = i then havoc_op rng dict op p.Program.spec else op) ops)
+        | `Dup when n > 0 ->
+          let i = Rng.int rng n in
+          let rec insert j = function
+            | [] -> []
+            | op :: rest -> if j = i then op :: op :: rest else op :: insert (j + 1) rest
+          in
+          insert 0 !suffix
+        | `Del when n > 1 ->
+          let i = Rng.int rng n in
+          List.filteri (fun j _ -> j <> i) !suffix
+        | `Swap when n > 1 ->
+          let i = Rng.int rng (n - 1) in
+          let a = ops.(i) in
+          ops.(i) <- ops.(i + 1);
+          ops.(i + 1) <- a;
+          Array.to_list ops
+        | `Splice when Array.length corpus > 0 ->
+          let donor = Rng.choose rng corpus in
+          let donor_ops =
+            Array.to_list donor.Program.ops
+            |> List.filter (fun op -> op.Program.node <> Spec.snapshot_node_id)
+          in
+          let keep = if n = 0 then 0 else Rng.int rng (n + 1) in
+          let dlen = List.length donor_ops in
+          let from = if dlen = 0 then 0 else Rng.int rng dlen in
+          List.filteri (fun j _ -> j < keep) !suffix @ List.filteri (fun j _ -> j >= from) donor_ops
+        | `Append -> (
+          match fresh_op rng p.Program.spec with
+          | Some op -> !suffix @ [ op ]
+          | None -> !suffix)
+        | _ -> !suffix)
+    done;
+    let room = max 0 (max_ops - Array.length prefix) in
+    if List.length !suffix > room then suffix := List.filteri (fun i _ -> i < room) !suffix;
+    let candidate = { p with Program.ops = Array.append prefix (Array.of_list !suffix) } in
+    repair ~rng candidate
+end
+
+(* The splitmix64 generator as it was before its state moved into
+   [Bytes]: a boxed [int64] field. *)
+module Ref_rng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+
+  let next_int64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = { state = next_int64 t }
+  let int t bound = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) mod bound
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+  let float t x =
+    x *. Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) /. 9007199254740992.0
+
+  let weighted t pairs =
+    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 pairs in
+    let target = float t total in
+    let rec pick acc = function
+      | [] -> invalid_arg "weighted"
+      | [ (x, _) ] -> x
+      | (x, w) :: rest -> if acc +. w > target then x else pick (acc +. w) rest
+    in
+    pick 0.0 pairs
+end
+
+let rng_seeds = [ 0; 1; 7; 1001; -5; max_int ]
+
+(* 10,000 outputs of each kind from each seed, then the final state. *)
+let test_rng_matches_boxed_reference () =
+  List.iter
+    (fun seed ->
+      let pair () = (Rng.create seed, Ref_rng.create seed) in
+      let same name ok = if not ok then Alcotest.failf "seed %d: %s differs" seed name in
+      let r, m = pair () in
+      for i = 1 to 10_000 do
+        let bound = if i mod 3 = 0 then max_int else 1 + (i * 7919 mod 100_000) in
+        same "int" (Rng.int r bound = Ref_rng.int m bound)
+      done;
+      same "state after int" (Rng.state r = m.Ref_rng.state);
+      let r, m = pair () in
+      for _ = 1 to 10_000 do
+        same "bool" (Rng.bool r = Ref_rng.bool m)
+      done;
+      same "state after bool" (Rng.state r = m.Ref_rng.state);
+      let r, m = pair () in
+      for i = 1 to 10_000 do
+        let x = float_of_int i /. 3.0 in
+        same "float" (Int64.bits_of_float (Rng.float r x) = Int64.bits_of_float (Ref_rng.float m x))
+      done;
+      same "state after float" (Rng.state r = m.Ref_rng.state);
+      let r, m = pair () in
+      for _ = 1 to 10_000 do
+        let r' = Rng.split r and m' = Ref_rng.split m in
+        same "split" (Rng.state r' = m'.Ref_rng.state && Rng.int r' 1000 = Ref_rng.int m' 1000)
+      done;
+      same "state after split" (Rng.state r = m.Ref_rng.state);
+      let r, m = pair () in
+      for i = 1 to 10_000 do
+        let pairs = List.init (1 + (i mod 7)) (fun k -> (k, float_of_int (1 + ((i + k) mod 5)) /. 2.0)) in
+        same "weighted" (Rng.weighted r pairs = Ref_rng.weighted m pairs)
+      done;
+      same "state after weighted" (Rng.state r = m.Ref_rng.state);
+      Rng.set_state r 42L;
+      same "set_state" (Rng.state r = 42L))
+    rng_seeds
+
+(* Random programs: op soup over two specs. Nodes run past both ends of
+   the spec (unknown opcodes, including negative ones), node 0 is the
+   snapshot opcode, args are negative, in range or dangling, and data
+   fields are missing, extra or over their bound. *)
+
+let net = Nyx_spec.Net_spec.create ~max_payload:24 ()
+
+(* More shapes than the raw-packet spec: two edge types, nodes that
+   borrow two values, consume two of one type, or borrow and consume the
+   same type, one with two outputs, and tight data bounds. *)
+let rich_spec =
+  let b = Spec.start "rich" in
+  let conn = Spec.edge_type b "conn" in
+  let file = Spec.edge_type b "file" in
+  let small = Spec.data_type b ~max_len:4 "small" in
+  let big = Spec.data_type b ~max_len:32 "big" in
+  ignore (Spec.node_type b ~outputs:[ conn ] ~data:[ small ] "open");
+  ignore (Spec.node_type b ~borrows:[ conn ] ~outputs:[ file; file ] ~data:[ big; small ] "list");
+  ignore (Spec.node_type b ~borrows:[ conn; file ] ~consumes:[ file ] ~data:[ big ] "retr");
+  ignore (Spec.node_type b ~consumes:[ conn; file ] "close_both");
+  ignore (Spec.node_type b ~borrows:[ conn; conn ] ~data:[ big ] "pair");
+  ignore (Spec.node_type b ~consumes:[ file; file ] ~outputs:[ file ] "join");
+  ignore (Spec.node_type b ~borrows:[ file ] ~consumes:[ file ] ~data:[ small ] "move");
+  Spec.finalize b
+
+let gen_program spec =
+  let open QCheck.Gen in
+  let n_nodes = Array.length (Spec.nodes spec) in
+  let gen_bytes = map Bytes.of_string (string_size ~gen:printable (int_range 0 40)) in
+  let gen_op =
+    map3
+      (fun node args data -> { Program.node; args = Array.of_list args; data = Array.of_list data })
+      (frequency [ (8, int_range 1 (n_nodes - 1)); (2, return 0); (1, int_range (-2) (n_nodes + 2)) ])
+      (list_size (int_range 0 4) (frequency [ (6, int_range 0 12); (1, int_range (-3) 40) ]))
+      (list_size (int_range 0 3) gen_bytes)
+  in
+  map (fun ops -> { Program.spec; ops = Array.of_list ops }) (list_size (int_range 0 26) gen_op)
+
+type case = {
+  c_seed : int;
+  c_prog : Program.t;
+  c_frozen : int;
+  c_max_ops : int;
+  c_dict : bytes list;
+  c_corpus : Program.t array;
+}
+
+let gen_case =
+  let open QCheck.Gen in
+  oneofl [ net.Nyx_spec.Net_spec.spec; rich_spec ] >>= fun spec ->
+  map3
+    (fun (c_seed, c_prog) (c_frozen, c_max_ops) (c_dict, corpus) ->
+      { c_seed; c_prog; c_frozen; c_max_ops; c_dict; c_corpus = Array.of_list corpus })
+    (pair int (gen_program spec))
+    (pair (int_range 0 30) (frequency [ (3, return 24); (1, int_range 0 40) ]))
+    (pair
+       (list_size (int_range 0 3) (map Bytes.of_string (string_size ~gen:printable (int_range 0 6))))
+       (list_size (int_range 0 3) (gen_program spec)))
+
+let print_case c =
+  Format.asprintf "seed %d frozen %d max_ops %d dict %d corpus %d@.%a" c.c_seed c.c_frozen
+    c.c_max_ops (List.length c.c_dict) (Array.length c.c_corpus)
+    (fun ppf (p : Program.t) ->
+      Array.iteri
+        (fun i (op : Program.op) ->
+          Format.fprintf ppf "%d: node %d args [%s] data %d@." i op.Program.node
+            (String.concat ";" (Array.to_list (Array.map string_of_int op.Program.args)))
+            (Array.length op.Program.data))
+        p.Program.ops)
+    c.c_prog
+
+let arb_case = QCheck.make ~print:print_case gen_case
+
+(* Run [f] on a fresh generator; the result (or the exception it raised)
+   together with the generator's final state. *)
+let outcome seed f =
+  let rng = Rng.create seed in
+  let r = try Ok (f rng) with e -> Error (Printexc.to_string e) in
+  (r, Rng.state rng)
+
+let ops_outcome (r, s) = (Result.map (fun (p : Program.t) -> p.Program.ops) r, s)
+
+let prop_repair_matches_reference =
+  QCheck.Test.make ~name:"one-pass repair == list-based reference" ~count:400 arb_case
+    (fun c ->
+      let p = c.c_prog in
+      (Program.repair p).Program.ops = (Ref_mutation.repair p).Program.ops
+      && ops_outcome (outcome c.c_seed (fun rng -> Program.repair ~rng p))
+         = ops_outcome (outcome c.c_seed (fun rng -> Ref_mutation.repair ~rng p))
+      && Program.validate (Program.repair p) = Ok ())
+
+(* Repair's output is a fixed point it returns physically, making no
+   draw: every op's bindings are usable and its data fit. *)
+let prop_repair_keeps_valid_ops =
+  QCheck.Test.make ~name:"repair keeps a valid program physically, drawless" ~count:400
+    arb_case (fun c ->
+      let p = Program.repair c.c_prog in
+      let rng = Rng.create c.c_seed in
+      let s = Rng.state rng in
+      Program.repair p == p && Program.repair ~rng p == p && Rng.state rng = s)
+
+let prop_mutator_matches_reference =
+  QCheck.Test.make ~name:"array mutator == list-based reference" ~count:400 arb_case
+    (fun c ->
+      let frozen = c.c_frozen and max_ops = c.c_max_ops and dict = c.c_dict in
+      let corpus = c.c_corpus and before = Program.serialize c.c_prog in
+      ops_outcome
+        (outcome c.c_seed (fun rng ->
+             Nyx_spec.Mutator.mutate rng ~frozen ~max_ops ~dict ~corpus c.c_prog))
+      = ops_outcome
+          (outcome c.c_seed (fun rng ->
+               Ref_mutation.mutate rng ~frozen ~max_ops ~dict ~corpus c.c_prog))
+      && Program.serialize c.c_prog = before)
+
+let prop_havoc_matches_reference =
+  QCheck.Test.make ~name:"in-place havoc == list-based reference" ~count:1000
+    QCheck.(
+      quad int (string_of_size Gen.(int_range 0 48))
+        (list_of_size Gen.(int_range 0 3) (string_of_size Gen.(int_range 0 6)))
+        (pair (int_range 0 64) (int_range 1 12)))
+    (fun (seed, data, dict, (max_len, rounds)) ->
+      let input = Bytes.of_string data and dict = List.map Bytes.of_string dict in
+      let ((fast, _) as a) =
+        outcome seed (fun rng -> Nyx_spec.Havoc.mutate rng ~dict ~max_len ~rounds input)
+      in
+      a = outcome seed (fun rng -> Ref_mutation.havoc rng ~dict ~max_len ~rounds input)
+      && Bytes.to_string input = data
+      && match fast with Ok b -> b != input | Error _ -> true)
+
+(* A fixed 22-op lightftp-style program: a connection, ten packets, the
+   snapshot opcode, ten more packets. *)
+let lightftp_program () =
+  let cmds =
+    [ "USER fuzz\r\n"; "PASS fuzz\r\n"; "TYPE I\r\n"; "PASV\r\n"; "LIST\r\n"; "CWD /pub\r\n";
+      "PWD\r\n"; "RETR file.txt\r\n"; "STOR up.bin\r\n"; "NOOP\r\n" ]
+  in
+  let spec = Campaign.net_spec () in
+  Program.with_snapshot_at
+    (Nyx_spec.Net_spec.seed_of_packets spec (List.map Bytes.of_string (cmds @ cmds)))
+    11
+
+(* CI guard: a mutant allocates for what it changes. Here the
+   list-based mutator allocated ~3,660 words a call and the array one
+   ~110 (OCaml 5.1); the bound leaves room for other compiler versions. *)
+let test_mutate_alloc_bound () =
+  let p = lightftp_program () in
+  check_int "ops" 22 (Array.length p.Program.ops);
+  let frozen = Option.get (Nyx_spec.Interp.snapshot_op_index p) + 1 in
+  let dict = List.map Bytes.of_string [ "USER"; "PASS"; "TYPE I"; "PASV"; "LIST"; "RETR"; "STOR" ] in
+  let corpus = [| p |] in
+  let calls = 1_000 in
+  let run mutate =
+    let rng = Rng.create 1 in
+    let last = ref p in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      last := mutate rng
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+    (words, !last, Rng.state rng)
+  in
+  let words, last, state =
+    run (fun rng -> Nyx_spec.Mutator.mutate rng ~frozen ~max_ops:44 ~dict ~corpus p)
+  in
+  let _, ref_last, ref_state =
+    run (fun rng -> Ref_mutation.mutate rng ~frozen ~max_ops:44 ~dict ~corpus p)
+  in
+  Alcotest.(check bool) "same last mutant" true (last.Program.ops = ref_last.Program.ops);
+  Alcotest.(check int64) "same final Rng.state" ref_state state;
+  if words > 1_000.0 then
+    Alcotest.failf "Mutator.mutate allocates %.1f words per call (bound 1000)" words
+
+(* ------------------------------------------------------------------ *)
 (* Campaign identity: fixed-seed results recorded from the pre-change
    implementation. Every field below (budget 8 virtual seconds, seed 7)
    was captured by running the list-based/full-scan code.              *)
@@ -307,6 +837,60 @@ let test_identity_aflnet_state_aware () =
       }
       r
 
+(* Typed-engine and peer-mode identity. Typed splice and generate
+   candidates draw inside [Program.repair] on most grafted ops, and peer
+   mode mutates action-selector programs under armed encoder faults, so
+   neither is covered by the havoc goldens above. Recorded at commit
+   5b69560, before the one-pass repair and the in-place mutators. *)
+
+let check_outcome name ~execs ~final_edges ~corpus_size ~crash_kinds
+    (r : Report.campaign_result) =
+  check_int (name ^ ": execs") execs r.Report.execs;
+  check_int (name ^ ": final_edges") final_edges r.Report.final_edges;
+  check_int (name ^ ": corpus_size") corpus_size r.Report.corpus_size;
+  Alcotest.(check (list string))
+    (name ^ ": crash kinds") crash_kinds
+    (List.map (fun c -> c.Report.kind) r.Report.crashes)
+
+let test_identity_typed_dynamic_trim () =
+  let entry = Option.get (Nyx_targets.Registry.find "pure-ftpd") in
+  let cfg =
+    {
+      Campaign.default_config with
+      Campaign.budget_ns = 8_000_000_000;
+      max_execs = 10_000;
+      policy = Policy.Dynamic;
+      engine = Engines.Typed;
+      trim = true;
+      seed = 7;
+    }
+  in
+  check_outcome "typed+dynamic+trim/pure-ftpd" ~execs:10_000 ~final_edges:74
+    ~corpus_size:115 ~crash_kinds:[] (Campaign.run cfg entry)
+
+let test_identity_peer_faults () =
+  let entry = Option.get (Nyx_targets.Registry.find "lightftp") in
+  let script = Option.get (Nyx_peer.Peer_script.find "lightftp") in
+  let faults =
+    match
+      Nyx_peer.Peer_fault.parse_spec
+        "flip:0.5,truncate:0.5,duplicate:0.5,length-lie:1.0,desync-frame:0.5,drop-field:0.5"
+    with
+    | Ok sp -> sp
+    | Error m -> Alcotest.fail m
+  in
+  let cfg =
+    {
+      Campaign.default_config with
+      Campaign.budget_ns = 8_000_000_000;
+      max_execs = 10_000;
+      asan = true;
+      seed = 7;
+    }
+  in
+  check_outcome "peer+faults/lightftp" ~execs:4_670 ~final_edges:76 ~corpus_size:90
+    ~crash_kinds:[] (Campaign.run ~peer:script ~peer_faults:faults cfg entry)
+
 let () =
   Alcotest.run "nyx_hotpath"
     [
@@ -330,5 +914,19 @@ let () =
             test_identity_aggressive_trim_echo;
           Alcotest.test_case "aflnet state-aware (lightftp)" `Quick
             test_identity_aflnet_state_aware;
+          Alcotest.test_case "typed engine + dynamic + trim (pure-ftpd)" `Quick
+            test_identity_typed_dynamic_trim;
+          Alcotest.test_case "peer mode, six encoder faults (lightftp)" `Quick
+            test_identity_peer_faults;
+        ] );
+      ( "mutation",
+        [
+          Alcotest.test_case "rng == boxed splitmix64" `Quick
+            test_rng_matches_boxed_reference;
+          QCheck_alcotest.to_alcotest prop_repair_matches_reference;
+          QCheck_alcotest.to_alcotest prop_repair_keeps_valid_ops;
+          QCheck_alcotest.to_alcotest prop_mutator_matches_reference;
+          QCheck_alcotest.to_alcotest prop_havoc_matches_reference;
+          Alcotest.test_case "mutate allocation bound" `Quick test_mutate_alloc_bound;
         ] );
     ]
