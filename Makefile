@@ -97,30 +97,35 @@ bench-smoke:
 bench-hotpath:
 	dune exec bench/main.exe -- hotpath
 
+# The three coverage-gate matrices share one (target x arm) runner in
+# bench/main.ml. Each always enforces its gate and fails when the claim
+# holds on fewer targets than required. All run on the virtual clock, so
+# every BENCH file and verdict is reproducible bit-for-bit.
+#
 # Snapshot placement matrix: all four policies across protocol-diverse
 # targets, scored by virtual time-to-coverage; the gate fails unless the
 # dynamic policy strictly beats the best static policy on at least half
-# the matrix. Writes BENCH_snapshot.json. Fully deterministic (virtual
-# clock), so the gate result is reproducible bit-for-bit.
+# the matrix (and the static probe prior hashes strictly fewer indices
+# on at least half). Writes BENCH_snapshot.json.
 bench-snapshot:
-	NYX_BENCH_SNAP_GATE=1 dune exec bench/main.exe -- snapshot_matrix
+	dune exec bench/main.exe -- snapshot_matrix
 
 # Mutation-engine matrix: havoc vs typed (splice + generate) across the
 # protocol targets, scored by executions-to-coverage on the exec-keyed
 # timeline; the gate fails unless the typed engine reaches the per-target
 # frontier within the havoc engine's exec count on at least half the
-# matrix. Writes BENCH_mutation.json. Fully deterministic.
+# matrix. Writes BENCH_mutation.json.
 bench-mutation:
-	NYX_BENCH_MUT_GATE=1 dune exec bench/main.exe -- mutation_matrix
+	dune exec bench/main.exe -- mutation_matrix
 
 # Peer-vs-bytecode matrix: --mode peer campaigns (scripted peer with
 # encoder faults armed) vs bytecode campaigns at the same seed/budget on
 # lightftp, tinydtls and mysql-client; the gate fails unless peer mode
 # finds strictly more unique edges or a peer-only crash kind on at least
 # 2 of the 3 targets. Also asserts peer determinism and zero aborted
-# encoder faults. Writes BENCH_peer.json. Fully deterministic.
+# encoder faults. Writes BENCH_peer.json.
 bench-peer:
-	NYX_BENCH_PEER_GATE=1 dune exec bench/main.exe -- peer_matrix
+	dune exec bench/main.exe -- peer_matrix
 
 # The full paper evaluation (slow).
 bench:

@@ -7,13 +7,15 @@
                 ablation_reuse ablation_dirty ablation_boundary
                 ablation_remirror bechamel parallel_smoke snapshot_matrix
                 mutation_matrix hotpath peer_matrix faultcheck statecheck all
+   The three coverage-gate matrices (snapshot_matrix, mutation_matrix,
+   peer_matrix) always enforce their gates, like faultcheck and
+   statecheck: each fails unless its claim holds on its share of targets.
    Flags:
-     --budget S      parallel_smoke virtual budget in seconds
-                     (default NYX_BENCH_SMOKE_BUDGET_S, then 10)
+     --budget S      parallel_smoke virtual budget in seconds (default 10)
      --sync-ms MS    parallel_smoke corpus-sync interval in virtual ms
-                     (default NYX_BENCH_SMOKE_SYNC_MS, then 250)
+                     (default 250)
    Environment:
-     NYX_BENCH_BUDGET_S    virtual seconds per campaign (default 20)
+     NYX_BENCH_BUDGET_S    virtual seconds per campaign (default 30)
      NYX_BENCH_REPS        repetitions per cell (default 1; paper used 10)
      NYX_BENCH_MAX_EXECS   execution cap per campaign (default 30000)
      NYX_BENCH_MARIO       comma-separated levels for table4
@@ -24,37 +26,23 @@
                            Tables and CSVs are byte-identical either way:
                            cells are deterministic functions of the seed
                            and results merge in submission order.
-     NYX_BENCH_SMOKE_BUDGET_S  virtual budget for parallel_smoke (default 10)
-     NYX_BENCH_SMOKE_SYNC_MS   corpus-sync interval for parallel_smoke (default 250)
      NYX_BENCH_SCALE_GATE  if set (e.g. "0.7"), parallel_smoke fails when any
                            fleet size N scores mean speedup < gate * N
-     NYX_BENCH_SNAP_TARGETS    comma-separated snapshot_matrix target list
-     NYX_BENCH_SNAP_BUDGET_S   virtual budget for snapshot_matrix (default 8)
-     NYX_BENCH_SNAP_MAX_EXECS  execution cap for snapshot_matrix (default 25000)
-     NYX_BENCH_SNAP_GATE   if set, snapshot_matrix fails unless the dynamic
-                           policy beats the best static policy (virtual
-                           time-to-frontier) on at least half the targets
-     NYX_BENCH_MUT_TARGETS     comma-separated mutation_matrix target list
-     NYX_BENCH_MUT_BUDGET_S    virtual budget for mutation_matrix (default 8)
-     NYX_BENCH_MUT_MAX_EXECS   execution cap for mutation_matrix (default 25000)
-     NYX_BENCH_MUT_GATE    if set, mutation_matrix fails unless the typed
-                           engine reaches the per-target coverage frontier
-                           in <= the havoc engine's executions on at least
-                           half the targets
      NYX_BENCH_HOTPATH_EXECS   coverage-bound execs for hotpath (default 3000)
      NYX_BENCH_HOTPATH_PHASE_ITERS  per-phase iterations for hotpath (default 2000)
-     NYX_BENCH_PEER_TARGETS    comma-separated peer_matrix target list
-     NYX_BENCH_PEER_BUDGET_S   virtual budget for peer_matrix (default 6)
-     NYX_BENCH_PEER_MAX_EXECS  execution cap for peer_matrix (default 20000)
-     NYX_BENCH_PEER_GATE   if set, peer_matrix fails unless peer mode beats
-                           bytecode (strictly more edges, or a peer-only
-                           crash kind) on at least 2 of its 3 targets
      NYX_STATECHECK_MUTANTS    statecheck mutants per seed (default 3) *)
 
 open Nyx_core
 
 let env_int name default =
-  match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n -> n
+    | None ->
+      Printf.eprintf "%s expects an integer, got %S\n" name v;
+      exit 1)
 
 (* Command-line flags. Domain-safety invariant (domain-safe): written
    once during argv parsing in [main], before any worker domain exists;
@@ -945,16 +933,8 @@ let execs_to_frontier (o : Fleet.outcome) frontier =
 
 let parallel_smoke () =
   Printf.printf "\n== Parallel smoke: shared-corpus fleet scaling (NYX_DOMAINS gate) ==\n\n";
-  let budget_s =
-    match !flag_budget_s with
-    | Some s -> s
-    | None -> env_int "NYX_BENCH_SMOKE_BUDGET_S" 10
-  in
-  let sync_ms =
-    match !flag_sync_ms with
-    | Some m -> m
-    | None -> env_int "NYX_BENCH_SMOKE_SYNC_MS" 250
-  in
+  let budget_s = Option.value ~default:10 !flag_budget_s in
+  let sync_ms = Option.value ~default:250 !flag_sync_ms in
   let budget_ns = budget_s * 1_000_000_000 in
   let sync_ns = sync_ms * 1_000_000 in
   let config =
@@ -1626,529 +1606,346 @@ let statecheck () =
   Printf.printf "  statecheck OK\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot placement matrix: all four policies on the long-session
-   targets, scored by virtual time-to-coverage. The frontier per target
-   is the weakest policy's final coverage — every policy reaches it, so
-   "first virtual ns reaching the frontier" is a fair race. The dynamic
-   policy must strictly beat the best *static* policy on at least half
-   the matrix when NYX_BENCH_SNAP_GATE is set (the CI snapshot-gate).
-   Emits BENCH_snapshot.json.                                           *)
+(* The coverage-gate matrices: the paper's Table 2 comparison of fuzzer
+   configurations, target by target, under one budget. A matrix runs one
+   campaign per (target, arm) from a shared base config; a judge scores
+   each target's arms and decides whether the matrix's claim held there;
+   the gate fails unless it held on at least num/den of the targets.
+   Campaigns are deterministic functions of the config and results merge
+   in submission order, so the table, the BENCH file and the verdict are
+   the same whatever NYX_DOMAINS says. *)
 
-let snap_policies = [ Policy.None_; Policy.Balanced; Policy.Aggressive; Policy.Dynamic ]
+(* BENCH file values; floats print with six decimals. *)
+type json =
+  | Int of int
+  | Float of float
+  | Bool of bool
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
 
-let snapshot_matrix () =
-  Printf.printf "\n== Snapshot placement matrix: virtual time-to-coverage per policy ==\n\n";
-  let budget_s = env_int "NYX_BENCH_SNAP_BUDGET_S" 8 in
-  let snap_execs = env_int "NYX_BENCH_SNAP_MAX_EXECS" 25_000 in
-  let budget_ns = budget_s * 1_000_000_000 in
-  (* Protocol-diverse targets whose seed sessions are long enough for
-     mid-stream placement (>= Policy.min_packets_for_snapshot program
-     packets): SMTP, FTP x3, RTSP and TLS. *)
-  let names =
-    match Sys.getenv_opt "NYX_BENCH_SNAP_TARGETS" with
-    | Some s when String.trim s <> "" ->
-      List.filter (fun n -> n <> "") (String.split_on_char ',' (String.trim s))
-    | _ -> [ "exim"; "lightftp"; "live555"; "openssl"; "proftpd"; "pure-ftpd" ]
-  in
-  let cfg policy =
-    {
-      Campaign.policy;
-      budget_ns;
-      max_execs = snap_execs;
-      seed = 7;
-      asan = false;
-      stop_on_solve = false;
-      trim = false;
-      sample_interval_ns = 100_000_000;
-      engine = Engines.Havoc;
-      mutator_weights = [];
-    }
-  in
-  Printf.printf "  %ds virtual budget, %d exec cap, targets: %s\n\n" budget_s
-    snap_execs (String.concat " " names);
-  (* One campaign per (target, policy); each is a pure function of the
-     seed, so the fan-out is deterministic whatever NYX_DOMAINS says. *)
+(* Objects and scalar arrays print inline; an array of objects puts each
+   element on its own line, indented two past the line that opens it. *)
+let rec json_string indent = function
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%.6f" f
+  | Bool b -> string_of_bool b
+  | Str s -> Printf.sprintf "%S" s
+  | Arr (Obj _ :: _ as items) ->
+    let pad = String.make (indent + 2) ' ' in
+    Printf.sprintf "[\n%s\n%s]"
+      (String.concat ",\n" (List.map (fun v -> pad ^ json_string (indent + 2) v) items))
+      (String.make indent ' ')
+  | Arr items -> "[" ^ String.concat ", " (List.map (json_string indent) items) ^ "]"
+  | Obj members ->
+    let member (k, v) = Printf.sprintf "%S: %s" k (json_string indent v) in
+    "{" ^ String.concat ", " (List.map member members) ^ "}"
+
+(* One target's judgement: whether the claim held there, each arm's score
+   for the table, and the target's BENCH members after "target". *)
+type verdict = { win : bool; cells : string list; row : (string * json) list }
+
+type matrix = {
+  file : string;
+  title : string;
+  config : Campaign.config;  (* seed, budget and exec cap of every campaign *)
+  header : (string * json) list;  (* the BENCH file's members before "seed" *)
+  targets : string list;
+  arms :
+    (string * (Campaign.config -> Nyx_targets.Registry.entry -> Report.campaign_result))
+    list;
+  judge : (string * Report.campaign_result) list -> verdict;  (* arms in order *)
+  key : string;  (* BENCH member counting the targets the claim held on *)
+  claim : string;
+  gate : int * int;  (* (num, den): pass when wins * den >= num * targets *)
+  checks : string list -> (string * json) list * (string * string * int) list;
+      (* side checks over the targets: their BENCH members and (key, claim,
+         wins) tallies, gated like the matrix's own claim *)
+}
+
+let run_matrix m =
+  let cfg = m.config in
+  Printf.printf "\n== %s ==\n\n  seed %d, %ds virtual budget, %d exec cap\n\n" m.title
+    cfg.Campaign.seed (cfg.Campaign.budget_ns / 1_000_000_000) cfg.Campaign.max_execs;
   let tasks =
-    List.concat_map (fun n -> List.map (fun pol -> (n, pol)) snap_policies) names
+    List.concat_map (fun t -> List.map (fun arm -> (t, arm)) m.arms) m.targets
   in
   let results =
     Nyx_parallel.Pool.map_list
-      (fun (n, pol) ->
-        let entry = Option.get (Nyx_targets.Registry.find n) in
-        (n, pol, Campaign.run (cfg pol) entry))
+      (fun (t, (arm, run)) -> (arm, run cfg (Option.get (Nyx_targets.Registry.find t))))
       tasks
   in
-  let by_target n = List.filter (fun (tn, _, _) -> tn = n) results in
-  Printf.printf "%-12s %10s" "target" "frontier";
-  List.iter (fun pol -> Printf.printf " %14s" (Policy.name pol)) snap_policies;
-  Printf.printf "   %s\n" "winner";
-  let wins = ref 0 in
-  let rows =
-    List.map
-      (fun n ->
-        let cells = by_target n in
-        let frontier =
-          List.fold_left
-            (fun acc (_, _, r) -> min acc r.Report.final_edges)
-            max_int cells
-        in
-        let ttc (r : Report.campaign_result) =
-          Option.value ~default:r.Report.virtual_ns
-            (Nyx_sim.Stats.Timeline.first_time_reaching r.Report.timeline
-               (float_of_int frontier))
-        in
-        let cell pol =
-          let _, _, r = List.find (fun (_, p, _) -> p = pol) cells in
-          (r, ttc r)
-        in
-        let per_policy = List.map (fun pol -> (pol, cell pol)) snap_policies in
-        let dyn_ttc = snd (List.assoc Policy.Dynamic per_policy) in
-        let best_static =
-          List.fold_left
-            (fun acc (pol, (_, t)) -> if pol = Policy.Dynamic then acc else min acc t)
-            max_int per_policy
-        in
-        let dynamic_wins = dyn_ttc < best_static in
-        if dynamic_wins then incr wins;
-        Printf.printf "%-12s %10d" n frontier;
-        List.iter
-          (fun pol ->
-            let _, t = List.assoc pol per_policy in
-            Printf.printf " %12.3fs%s" (float_of_int t /. 1e9)
-              (if pol = Policy.Dynamic && dynamic_wins then "*" else " "))
-          snap_policies;
-        Printf.printf "   %s\n%!" (if dynamic_wins then "dynamic" else "static");
-        (n, frontier, per_policy, dynamic_wins))
-      names
+  let k = List.length m.arms in
+  let verdicts =
+    List.mapi (fun i t -> (t, m.judge (List.filteri (fun j _ -> j / k = i) results))) m.targets
   in
-  Printf.printf "\n  dynamic beats the best static policy on %d/%d targets\n" !wins
-    (List.length names);
-  (* Probe-cost ablation: rerun every seed's boundary probe with the
-     static feasibility prior (Nyx_analysis.Dataflow) off and on. The
-     prior may only skip hashes, never change the result — boundaries
-     must match exactly, and prior-on must hash strictly fewer indices
-     (it always skips at least the useless hash after the last packet). *)
-  let nspec = Campaign.net_spec () in
-  let prior_rows =
-    List.map
-      (fun n ->
-        let entry = Option.get (Nyx_targets.Registry.find n) in
-        let udp =
-          entry.Nyx_targets.Registry.target.Nyx_targets.Target.info
-            .Nyx_targets.Target.proto = Nyx_netemu.Net.Udp
-        in
-        let seeds = Nyx_targets.Registry.seed_programs entry nspec in
-        let exec =
-          Executor.create ~net_spec:nspec entry.Nyx_targets.Registry.target
-        in
-        let dense = ref 0 and prior = ref 0 and probed = ref 0 in
-        List.iter
-          (fun p ->
-            let feasible = Nyx_analysis.Dataflow.feasible_boundaries ~udp p in
-            let b_off = Executor.state_boundaries exec p in
-            let h_off = Executor.last_probe_hashed exec in
-            let b_on = Executor.state_boundaries ~feasible exec p in
-            let h_on = Executor.last_probe_hashed exec in
-            if b_off <> b_on then
-              failwith
-                (Printf.sprintf
-                   "snapshot_matrix: static prior changed probe result on %s \
-                    ([%s] vs [%s])"
-                   n
-                   (String.concat ";" (List.map string_of_int b_off))
-                   (String.concat ";" (List.map string_of_int b_on)));
-            dense := !dense + h_off;
-            prior := !prior + h_on;
-            incr probed)
-          seeds;
-        (n, !probed, !dense, !prior))
-      names
+  let print_row cells =
+    List.iteri (fun i c -> Printf.printf (if i = 0 then "%-13s" else " %18s") c) cells;
+    print_newline ()
   in
-  let prior_wins =
-    List.length (List.filter (fun (_, _, d, p) -> p < d) prior_rows)
-  in
-  Printf.printf "\n  probe-cost ablation (state hashes across all seed probes):\n";
-  Printf.printf "  %-12s %6s %12s %12s %8s\n" "target" "seeds" "dense" "prior" "saved";
+  print_row (("target" :: List.map fst m.arms) @ [ m.key ]);
   List.iter
-    (fun (n, probed, dense, prior) ->
-      Printf.printf "  %-12s %6d %12d %12d %7.1f%%\n" n probed dense prior
-        (if dense = 0 then 0.0
-         else 100.0 *. float_of_int (dense - prior) /. float_of_int dense))
-    prior_rows;
-  Printf.printf
-    "  prior hashes strictly fewer indices on %d/%d targets (boundaries \
-     identical)\n"
-    prior_wins (List.length names);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"virtual_budget_s\": %d,\n\
-      \  \"max_execs\": %d,\n\
-      \  \"seed\": 7,\n\
-      \  \"targets\": [\n%s\n  ],\n\
-      \  \"probe_prior\": [\n%s\n  ],\n\
-      \  \"prior_strictly_fewer\": %d,\n\
-      \  \"dynamic_wins\": %d,\n\
-      \  \"matrix_size\": %d\n\
-       }"
-      budget_s snap_execs
-      (String.concat ",\n"
-         (List.map
-            (fun (n, frontier, per_policy, dynamic_wins) ->
-              Printf.sprintf
-                "    {\"target\": %S, \"frontier_edges\": %d, \"dynamic_wins\": %b, \
-                 \"policies\": [\n%s\n    ]}"
-                n frontier dynamic_wins
-                (String.concat ",\n"
-                   (List.map
-                      (fun (pol, ((r : Report.campaign_result), t)) ->
-                        let placement =
-                          match r.Report.placement with
-                          | None -> ""
-                          | Some p ->
-                            Printf.sprintf
-                              ", \"probes\": %d, \"moves\": %d, \"boundaries\": %d"
-                              p.Report.probes p.Report.moves p.Report.boundary_count
-                        in
-                        Printf.sprintf
-                          "      {\"policy\": %S, \"ttc_ns\": %d, \
-                           \"final_edges\": %d, \"execs\": %d%s}"
-                          (Policy.name pol) t r.Report.final_edges r.Report.execs
-                          placement)
-                      per_policy)))
-            rows))
-      (String.concat ",\n"
-         (List.map
-            (fun (n, probed, dense, prior) ->
-              Printf.sprintf
-                "    {\"target\": %S, \"programs\": %d, \"hashes_dense\": %d, \
-                 \"hashes_prior\": %d, \"boundaries_identical\": true}"
-                n probed dense prior)
-            prior_rows))
-      prior_wins !wins (List.length names)
+    (fun (t, v) -> print_row ((t :: v.cells) @ [ string_of_bool v.win ]))
+    verdicts;
+  let members, side = m.checks m.targets in
+  let tallies =
+    (m.key, m.claim, List.length (List.filter (fun (_, v) -> v.win) verdicts)) :: side
   in
-  write_json "BENCH_snapshot.json" json;
-  match Sys.getenv_opt "NYX_BENCH_SNAP_GATE" with
-  | None -> ()
-  | Some _ ->
-    if !wins * 2 < List.length names then
-      failwith
-        (Printf.sprintf
-           "snapshot_matrix: dynamic beat the best static policy on only %d/%d \
-            targets (gate requires at least half)"
-           !wins (List.length names));
-    if prior_wins * 2 < List.length names then
-      failwith
-        (Printf.sprintf
-           "snapshot_matrix: static prior hashed strictly fewer indices on only \
-            %d/%d targets (gate requires at least half)"
-           prior_wins (List.length names))
-
-(* ------------------------------------------------------------------ *)
-(* Mutation-engine matrix: havoc vs typed on the protocol targets,
-   scored by executions-to-coverage (the exec-keyed timeline records
-   every frontier advance, so the race is exact and budget-independent).
-   The frontier per target is the weaker engine's final coverage — both
-   engines reach it, so "first exec count reaching the frontier" is a
-   fair race. When NYX_BENCH_MUT_GATE is set (the CI mutation-gate), the
-   typed engine must reach the frontier in <= the havoc engine's execs
-   on at least half the matrix. Emits BENCH_mutation.json.              *)
-
-let mut_engines = [ Engines.Havoc; Engines.Typed ]
-
-let mutation_matrix () =
-  Printf.printf
-    "\n== Mutation engine matrix: executions-to-coverage, havoc vs typed ==\n\n";
-  let budget_s = env_int "NYX_BENCH_MUT_BUDGET_S" 8 in
-  let mut_execs = env_int "NYX_BENCH_MUT_MAX_EXECS" 25_000 in
-  let budget_ns = budget_s * 1_000_000_000 in
-  let names =
-    match Sys.getenv_opt "NYX_BENCH_MUT_TARGETS" with
-    | Some s when String.trim s <> "" ->
-      List.filter (fun n -> n <> "") (String.split_on_char ',' (String.trim s))
-    | _ -> [ "exim"; "lightftp"; "live555"; "openssl"; "proftpd"; "pure-ftpd" ]
+  let n = List.length m.targets and num, den = m.gate in
+  let rows = List.map (fun (t, v) -> Obj (("target", Str t) :: v.row)) verdicts in
+  let top =
+    m.header
+    @ (("seed", Int cfg.Campaign.seed) :: List.map (fun (key, _, w) -> (key, Int w)) tallies)
+    @ (("targets", Arr rows) :: members)
   in
-  let cfg engine =
+  write_json m.file
+    (Printf.sprintf "{\n%s\n}"
+       (String.concat ",\n"
+          (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k (json_string 2 v)) top)));
+  List.iter
+    (fun (_, claim, wins) ->
+      Printf.printf "  %s on %d/%d targets (gate %d/%d)\n%!" claim wins n num den;
+      if wins * den < num * n then
+        failwith
+          (Printf.sprintf "%s: %s on only %d/%d targets (gate requires %d/%d)" m.file
+             claim wins n num den))
+    tallies
+
+(* The snapshot and mutation matrices race their arms to a coverage
+   frontier, the arms' lowest final edge count, which every arm reaches.
+   An arm scores the first point of its [clock] timeline at the frontier
+   (the clock's final reading if none, impossible by construction). The
+   last arm is the challenger: it wins the target when [beats] holds
+   between its score and the best rival's. [keys] name the BENCH members
+   for the claim, the arm list, an arm and its score. *)
+let race ~clock ~show ~beats ~keys:(claim_key, arms_key, arm_key, score_key) ~extra
+    results =
+  let frontier =
+    List.fold_left (fun acc (_, r) -> min acc r.Report.final_edges) max_int results
+  in
+  let score r =
+    let timeline, final = clock r in
+    Option.value ~default:final
+      (Nyx_sim.Stats.Timeline.first_time_reaching timeline (float_of_int frontier))
+  in
+  let scores = List.map (fun (_, r) -> score r) results in
+  let rivals = List.filteri (fun i _ -> i < List.length scores - 1) scores in
+  let challenger = List.nth scores (List.length rivals) in
+  let win = beats challenger (List.fold_left min max_int rivals) in
+  let arm (name, (r : Report.campaign_result)) =
+    Obj
+      ([ (arm_key, Str name); (score_key, Int (score r));
+         ("final_edges", Int r.Report.final_edges); ("execs", Int r.Report.execs) ]
+      @ extra r)
+  in
+  {
+    win;
+    cells = List.map show scores;
+    row =
+      [ ("frontier_edges", Int frontier); (claim_key, Bool win);
+        (arms_key, Arr (List.map arm results)) ];
+  }
+
+(* Probe-cost ablation: rerun every seed's boundary probe with the
+   static feasibility prior (Nyx_analysis.Dataflow) off and on. The
+   prior may only skip hashes, never change the result — boundaries
+   must match exactly, and prior-on must hash strictly fewer indices
+   (it always skips at least the useless hash after the last packet). *)
+let probe_prior targets =
+  let nspec = Campaign.net_spec () in
+  let probe n =
+    let entry = Option.get (Nyx_targets.Registry.find n) in
+    let target = entry.Nyx_targets.Registry.target in
+    let udp =
+      target.Nyx_targets.Target.info.Nyx_targets.Target.proto = Nyx_netemu.Net.Udp
+    in
+    let exec = Executor.create ~net_spec:nspec target in
+    let seeds = Nyx_targets.Registry.seed_programs entry nspec in
+    let hashes (dense, prior) p =
+      let feasible = Nyx_analysis.Dataflow.feasible_boundaries ~udp p in
+      let b_off = Executor.state_boundaries exec p in
+      let h_off = Executor.last_probe_hashed exec in
+      let b_on = Executor.state_boundaries ~feasible exec p in
+      if b_off <> b_on then
+        failwith ("snapshot_matrix: static prior changed the probe result on " ^ n);
+      (dense + h_off, prior + Executor.last_probe_hashed exec)
+    in
+    let dense, prior = List.fold_left hashes (0, 0) seeds in
+    ( prior < dense,
+      Obj
+        [ ("target", Str n); ("programs", Int (List.length seeds));
+          ("hashes_dense", Int dense); ("hashes_prior", Int prior);
+          ("boundaries_identical", Bool true) ] )
+  in
+  let rows = List.map probe targets in
+  ( [ ("probe_prior", Arr (List.map snd rows)) ],
+    [ ( "prior_strictly_fewer",
+        "the static prior hashes strictly fewer indices (boundaries identical)",
+        List.length (List.filter fst rows) ) ] )
+
+(* Snapshot placement (make bench-snapshot): all four policies, scored by
+   virtual time-to-frontier; dynamic must strictly beat the best static
+   policy on at least half the targets. The targets are protocol-diverse,
+   with seed sessions long enough for mid-stream placement (>=
+   Policy.min_packets_for_snapshot program packets): SMTP, FTP x3, RTSP
+   and TLS. *)
+let snapshot_matrix =
+  let config =
     {
-      Campaign.policy = Policy.Aggressive;
-      budget_ns;
-      max_execs = mut_execs;
+      Campaign.default_config with
+      Campaign.budget_ns = 8_000_000_000;
+      max_execs = 25_000;
       seed = 7;
-      asan = false;
-      stop_on_solve = false;
-      trim = false;
       sample_interval_ns = 100_000_000;
-      engine;
-      mutator_weights = [];
     }
   in
-  Printf.printf "  %ds virtual budget, %d exec cap, seed 7, targets: %s\n\n"
-    budget_s mut_execs (String.concat " " names);
-  (* One campaign per (target, engine); each is a pure function of the
-     seed, so the fan-out is deterministic whatever NYX_DOMAINS says. *)
-  let tasks =
-    List.concat_map (fun n -> List.map (fun e -> (n, e)) mut_engines) names
-  in
-  let results =
-    Nyx_parallel.Pool.map_list
-      (fun (n, e) ->
-        let entry = Option.get (Nyx_targets.Registry.find n) in
-        (n, e, Campaign.run (cfg e) entry))
-      tasks
-  in
-  let by_target n = List.filter (fun (tn, _, _) -> tn = n) results in
-  Printf.printf "%-12s %10s" "target" "frontier";
-  List.iter (fun e -> Printf.printf " %14s" (Engines.name e)) mut_engines;
-  Printf.printf "   %s\n" "winner";
-  let wins = ref 0 in
-  let rows =
-    List.map
-      (fun n ->
-        let cells = by_target n in
-        let frontier =
-          List.fold_left
-            (fun acc (_, _, r) -> min acc r.Report.final_edges)
-            max_int cells
-        in
-        (* Execs at which the engine first reached the frontier; an
-           engine that never did (impossible by construction, since the
-           frontier is the min) scores its full exec count. *)
-        let tte (r : Report.campaign_result) =
-          Option.value ~default:r.Report.execs
-            (Nyx_sim.Stats.Timeline.first_time_reaching r.Report.exec_timeline
-               (float_of_int frontier))
-        in
-        let cell e =
-          let _, _, r = List.find (fun (_, e', _) -> e' = e) cells in
-          (r, tte r)
-        in
-        let per_engine = List.map (fun e -> (e, cell e)) mut_engines in
-        let typed_execs = snd (List.assoc Engines.Typed per_engine) in
-        let havoc_execs = snd (List.assoc Engines.Havoc per_engine) in
-        let typed_wins = typed_execs <= havoc_execs in
-        if typed_wins then incr wins;
-        Printf.printf "%-12s %10d" n frontier;
-        List.iter
-          (fun e ->
-            let _, t = List.assoc e per_engine in
-            Printf.printf " %13d%s" t
-              (if e = Engines.Typed && typed_wins then "*" else " "))
-          mut_engines;
-        Printf.printf "   %s\n%!" (if typed_wins then "typed" else "havoc");
-        (n, frontier, per_engine, typed_wins))
-      names
-  in
-  Printf.printf
-    "\n  typed reaches the frontier in <= havoc's execs on %d/%d targets\n"
-    !wins (List.length names);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"virtual_budget_s\": %d,\n\
-      \  \"max_execs\": %d,\n\
-      \  \"seed\": 7,\n\
-      \  \"targets\": [\n%s\n  ],\n\
-      \  \"typed_wins\": %d,\n\
-      \  \"matrix_size\": %d\n\
-       }"
-      budget_s mut_execs
-      (String.concat ",\n"
-         (List.map
-            (fun (n, frontier, per_engine, typed_wins) ->
-              Printf.sprintf
-                "    {\"target\": %S, \"frontier_edges\": %d, \"typed_wins\": %b, \
-                 \"engines\": [\n%s\n    ]}"
-                n frontier typed_wins
-                (String.concat ",\n"
-                   (List.map
-                      (fun (e, ((r : Report.campaign_result), t)) ->
-                        let mutators =
-                          match r.Report.mutation with
-                          | None -> ""
-                          | Some m ->
-                            Printf.sprintf ", \"mutators\": [%s]"
-                              (String.concat ", "
-                                 (List.map
-                                    (fun (s : Report.mutator_stat) ->
-                                      Printf.sprintf
-                                        "{\"name\": %S, \"attempts\": %d, \
-                                         \"rejected\": %d, \"accepts\": %d, \
-                                         \"credit\": %.6f}"
-                                        s.Report.mut_name s.Report.mut_attempts
-                                        s.Report.mut_rejected s.Report.mut_accepts
-                                        s.Report.mut_credit)
-                                    m.Report.mutators))
-                        in
-                        Printf.sprintf
-                          "      {\"engine\": %S, \"execs_to_frontier\": %d, \
-                           \"final_edges\": %d, \"execs\": %d%s}"
-                          (Engines.name e) t r.Report.final_edges r.Report.execs
-                          mutators)
-                      per_engine)))
-            rows))
-      !wins (List.length names)
-  in
-  write_json "BENCH_mutation.json" json;
-  match Sys.getenv_opt "NYX_BENCH_MUT_GATE" with
-  | None -> ()
-  | Some _ ->
-    if !wins * 2 < List.length names then
-      failwith
-        (Printf.sprintf
-           "mutation_matrix: typed reached the frontier within havoc's execs on \
-            only %d/%d targets (gate requires at least half)"
-           !wins (List.length names))
+  let targets = [ "exim"; "lightftp"; "live555"; "openssl"; "proftpd"; "pure-ftpd" ] in
+  let policies = [ Policy.None_; Policy.Balanced; Policy.Aggressive; Policy.Dynamic ] in
+  let run policy cfg entry = Campaign.run { cfg with Campaign.policy } entry in
+  {
+    file = "BENCH_snapshot.json";
+    title = "Snapshot placement matrix: virtual time-to-coverage per policy";
+    config;
+    header =
+      [ ("virtual_budget_s", Int (config.Campaign.budget_ns / 1_000_000_000));
+        ("max_execs", Int config.Campaign.max_execs);
+        ("matrix_size", Int (List.length targets)) ];
+    targets;
+    arms = List.map (fun p -> (Policy.name p, run p)) policies;
+    judge =
+      race
+        ~clock:(fun r -> (r.Report.timeline, r.Report.virtual_ns))
+        ~show:(fun ns -> Printf.sprintf "%.3fs" (float_of_int ns /. 1e9))
+        ~beats:( < )
+        ~keys:("dynamic_wins", "policies", "policy", "ttc_ns")
+        ~extra:(fun r ->
+          match r.Report.placement with
+          | None -> []
+          | Some p ->
+            [ ("probes", Int p.Report.probes); ("moves", Int p.Report.moves);
+              ("boundaries", Int p.Report.boundary_count) ]);
+    key = "dynamic_wins";
+    claim = "dynamic beats the best static policy";
+    gate = (1, 2);
+    checks = probe_prior;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Peer-vs-bytecode gate (make bench-peer / CI): on every peer-scripted
-   matrix target, a peer-mode campaign with encoder faults armed runs
-   against a bytecode campaign with the same seed and budget. A target
-   is a win when peer mode reaches strictly more unique edges, or finds
-   a crash kind the bytecode campaign never saw (the Fuzztruction-style
-   claim: protocol-correct traffic carrying semantic encoder lies
-   reaches parser states raw byte mutation cannot). Also asserts peer
-   campaigns are deterministic and that every fired encoder fault was
-   recovered. Emits BENCH_peer.json; with NYX_BENCH_PEER_GATE set,
-   fails unless peer mode wins on at least 2 of the 3 targets.          *)
+(* Mutation engines (make bench-mutation): havoc vs typed on the snapshot
+   matrix's targets and config, scored by executions-to-frontier on the
+   exec-keyed timeline, which records every frontier advance, so the race
+   is exact and budget-independent; typed must reach the frontier within
+   havoc's execs on at least half the targets. *)
+let mutation_matrix =
+  let engines = [ Engines.Havoc; Engines.Typed ] in
+  let run engine cfg entry = Campaign.run { cfg with Campaign.engine } entry in
+  let mutator (s : Report.mutator_stat) =
+    Obj
+      [ ("name", Str s.Report.mut_name); ("attempts", Int s.Report.mut_attempts);
+        ("rejected", Int s.Report.mut_rejected); ("accepts", Int s.Report.mut_accepts);
+        ("credit", Float s.Report.mut_credit) ]
+  in
+  {
+    snapshot_matrix with
+    file = "BENCH_mutation.json";
+    title = "Mutation engine matrix: executions-to-coverage, havoc vs typed";
+    arms = List.map (fun e -> (Engines.name e, run e)) engines;
+    judge =
+      race
+        ~clock:(fun r -> (r.Report.exec_timeline, r.Report.execs))
+        ~show:string_of_int ~beats:( <= )
+        ~keys:("typed_wins", "engines", "engine", "execs_to_frontier")
+        ~extra:(fun r ->
+          match r.Report.mutation with
+          | None -> []
+          | Some m -> [ ("mutators", Arr (List.map mutator m.Report.mutators)) ]);
+    key = "typed_wins";
+    claim = "typed reaches the frontier in <= havoc's execs";
+    gate = (1, 2);
+    checks = (fun _ -> ([], []));
+  }
 
-let peer_matrix () =
-  Printf.printf "\n== Peer-vs-bytecode matrix (peer_matrix) ==\n\n";
-  let budget_ns = env_int "NYX_BENCH_PEER_BUDGET_S" 6 * 1_000_000_000 in
-  let max_execs = env_int "NYX_BENCH_PEER_MAX_EXECS" 20_000 in
-  let names =
-    match Sys.getenv_opt "NYX_BENCH_PEER_TARGETS" with
-    | Some s -> String.split_on_char ',' s
-    | None -> [ "lightftp"; "tinydtls"; "mysql-client" ]
+(* length-lie at full rate: the semantic lie that reaches the planted
+   trusted-length bugs; the other sites at 0.5 keep the mix broad. *)
+let peer_fault_spec =
+  "flip:0.5,truncate:0.5,duplicate:0.5,length-lie:1.0,desync-frame:0.5,drop-field:0.5"
+
+(* A --mode peer campaign with encoder faults armed, run twice: same-seed
+   peer campaigns must agree, and supervised recovery must absorb every
+   fired encoder fault. *)
+let run_peer cfg entry =
+  let name = target_name entry in
+  let fail fmt = Printf.ksprintf (fun m -> failwith ("peer_matrix: " ^ m)) fmt in
+  let script = Option.get (Nyx_peer.Peer_script.find name) in
+  let peer_faults = Result.get_ok (Nyx_peer.Peer_fault.parse_spec peer_fault_spec) in
+  let run () = Campaign.run ~peer:script ~peer_faults cfg entry in
+  let r = run () in
+  if not (Report.same_deterministic r (run ())) then
+    fail "same-seed %s peer campaigns diverged" name;
+  (match r.Report.resilience with
+  | Some res when res.Report.faults_aborted <> 0 ->
+    fail "%s aborted %d encoder faults (supervised recovery must absorb all of them)" name
+      res.Report.faults_aborted
+  | Some _ -> ()
+  | None -> fail "%s armed no fault plan" name);
+  r
+
+(* Peer mode wins a target with strictly more unique edges, or with a
+   crash kind the bytecode campaign never saw: protocol-correct traffic
+   carrying semantic encoder lies reaches parser states that raw byte
+   mutation does not. *)
+let peer_judge results =
+  let peer = List.assoc "peer" results and bytecode = List.assoc "bytecode" results in
+  let kinds (r : Report.campaign_result) =
+    List.map (fun (c : Report.crash_report) -> c.Report.kind) r.Report.crashes
   in
-  (* length-lie at full rate: the semantic lie that reaches the planted
-     trusted-length bugs; the other sites at 0.5 keep the mix broad. *)
-  let fault_spec =
-    "flip:0.5,truncate:0.5,duplicate:0.5,length-lie:1.0,desync-frame:0.5,drop-field:0.5"
+  let peer_only = List.filter (fun k -> not (List.mem k (kinds bytecode))) (kinds peer) in
+  let win = peer.Report.final_edges > bytecode.Report.final_edges || peer_only <> [] in
+  let ps = Option.get peer.Report.peer in
+  let strs l = Arr (List.map (fun s -> Str s) l) in
+  {
+    win;
+    cells = List.map (fun r -> string_of_int r.Report.final_edges) [ peer; bytecode ];
+    row =
+      [ ("peer_edges", Int peer.Report.final_edges);
+        ("bytecode_edges", Int bytecode.Report.final_edges);
+        ("peer_crash_kinds", strs (kinds peer));
+        ("bytecode_crash_kinds", strs (kinds bytecode));
+        ("peer_only_crash_kinds", strs peer_only);
+        ("peer_actions", Int ps.Report.peer_actions);
+        ("faults_fired", Int (List.fold_left (fun a (_, f) -> a + f) 0 ps.Report.peer_fired));
+        ("desyncs", Int ps.Report.peer_desyncs);
+        ("restarts", Int ps.Report.peer_restarts);
+        ("quarantines", Int ps.Report.peer_quarantines);
+        ("win", Bool win) ];
+  }
+
+(* Peer vs bytecode (make bench-peer): the same seed and budget, ASan on,
+   on every peer-scripted matrix target; peer mode must win on at least 2
+   of the 3. *)
+let peer_matrix =
+  let config =
+    {
+      Campaign.default_config with
+      Campaign.budget_ns = 6_000_000_000;
+      max_execs = 20_000;
+      seed = 11;
+      asan = true;
+    }
   in
-  let peer_faults =
-    match Nyx_peer.Peer_fault.parse_spec fault_spec with
-    | Ok sp -> sp
-    | Error m -> failwith ("peer_matrix: " ^ m)
-  in
-  let wins = ref 0 in
-  let rows =
-    List.map
-      (fun name ->
-        let entry =
-          match Nyx_targets.Registry.find name with
-          | Some e -> e
-          | None -> failwith ("peer_matrix: unknown target " ^ name)
-        in
-        let script =
-          match Nyx_peer.Peer_script.find name with
-          | Some s -> s
-          | None -> failwith ("peer_matrix: no peer script for " ^ name)
-        in
-        let cfg =
-          {
-            Campaign.default_config with
-            Campaign.policy = Policy.Aggressive;
-            budget_ns;
-            max_execs;
-            seed = 11;
-            asan = true;
-          }
-        in
-        let peer = Campaign.run ~peer:script ~peer_faults cfg entry in
-        let peer2 = Campaign.run ~peer:script ~peer_faults cfg entry in
-        if not (Report.same_deterministic peer peer2) then
-          failwith
-            (Printf.sprintf "peer_matrix: same-seed %s peer campaigns diverged"
-               name);
-        (match peer.Report.resilience with
-        | Some res when res.Report.faults_aborted <> 0 ->
-          failwith
-            (Printf.sprintf
-               "peer_matrix: %s aborted %d encoder faults (supervised \
-                recovery must absorb all of them)"
-               name res.Report.faults_aborted)
-        | Some _ -> ()
-        | None ->
-          failwith (Printf.sprintf "peer_matrix: %s armed no fault plan" name));
-        let bytecode = Campaign.run cfg entry in
-        let kinds r = List.map (fun c -> c.Report.kind) r.Report.crashes in
-        let peer_only =
-          List.filter
-            (fun k -> not (List.mem k (kinds bytecode)))
-            (kinds peer)
-        in
-        let win =
-          peer.Report.final_edges > bytecode.Report.final_edges
-          || peer_only <> []
-        in
-        if win then incr wins;
-        Printf.printf
-          "  %-14s peer %3d edges, %d crash kinds | bytecode %3d edges, %d \
-           crash kinds | %s%s\n\
-           %!"
-          name peer.Report.final_edges
-          (List.length peer.Report.crashes)
-          bytecode.Report.final_edges
-          (List.length bytecode.Report.crashes)
-          (if win then "peer wins" else "no win")
-          (match peer_only with
-          | [] -> ""
-          | ks -> Printf.sprintf " (peer-only: %s)" (String.concat "," ks));
-        (name, peer, bytecode, peer_only, win))
-      names
-  in
-  let row_json (name, (peer : Report.campaign_result), bytecode, peer_only, win)
-      =
-    let ps =
-      match peer.Report.peer with
-      | Some p -> p
-      | None -> failwith ("peer_matrix: " ^ name ^ " returned no peer block")
-    in
-    Printf.sprintf
-      "    {\"target\": %S, \"peer_edges\": %d, \"bytecode_edges\": %d, \
-       \"peer_crash_kinds\": [%s], \"bytecode_crash_kinds\": [%s], \
-       \"peer_only_crash_kinds\": [%s], \"peer_actions\": %d, \
-       \"faults_fired\": %d, \"desyncs\": %d, \"restarts\": %d, \
-       \"quarantines\": %d, \"win\": %b}"
-      name peer.Report.final_edges bytecode.Report.final_edges
-      (String.concat ", "
-         (List.map
-            (fun c -> Printf.sprintf "%S" c.Report.kind)
-            peer.Report.crashes))
-      (String.concat ", "
-         (List.map
-            (fun (c : Report.crash_report) -> Printf.sprintf "%S" c.Report.kind)
-            bytecode.Report.crashes))
-      (String.concat ", " (List.map (fun k -> Printf.sprintf "%S" k) peer_only))
-      ps.Report.peer_actions
-      (List.fold_left (fun a (_, n) -> a + n) 0 ps.Report.peer_fired)
-      ps.Report.peer_desyncs ps.Report.peer_restarts ps.Report.peer_quarantines
-      win
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"fault_spec\": %S,\n\
-      \  \"budget_ns\": %d,\n\
-      \  \"seed\": 11,\n\
-      \  \"wins\": %d,\n\
-      \  \"targets\": [\n\
-       %s\n\
-      \  ]\n\
-       }"
-      fault_spec budget_ns !wins
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  write_json "BENCH_peer.json" json;
-  match Sys.getenv_opt "NYX_BENCH_PEER_GATE" with
-  | None -> ()
-  | Some _ ->
-    if !wins * 3 < 2 * List.length rows then
-      failwith
-        (Printf.sprintf
-           "peer_matrix: peer mode won on only %d/%d targets (gate requires \
-            at least 2 of 3)"
-           !wins (List.length rows))
+  {
+    file = "BENCH_peer.json";
+    title = "Peer-vs-bytecode matrix: unique edges and crash kinds";
+    config;
+    header =
+      [ ("fault_spec", Str peer_fault_spec); ("budget_ns", Int config.Campaign.budget_ns) ];
+    targets = [ "lightftp"; "tinydtls"; "mysql-client" ];
+    arms = [ ("peer", run_peer); ("bytecode", fun cfg entry -> Campaign.run cfg entry) ];
+    judge = peer_judge;
+    key = "wins";
+    claim = "peer beats bytecode (more edges or a peer-only crash kind)";
+    gate = (2, 3);
+    checks = (fun _ -> ([], []));
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -2171,10 +1968,10 @@ let experiments =
     ("case_studies", case_studies);
     ("bechamel", bechamel_suite);
     ("parallel_smoke", parallel_smoke);
-    ("snapshot_matrix", snapshot_matrix);
-    ("mutation_matrix", mutation_matrix);
+    ("snapshot_matrix", fun () -> run_matrix snapshot_matrix);
+    ("mutation_matrix", fun () -> run_matrix mutation_matrix);
     ("hotpath", hotpath);
-    ("peer_matrix", peer_matrix);
+    ("peer_matrix", fun () -> run_matrix peer_matrix);
     ("faultcheck", faultcheck);
     ("statecheck", statecheck);
   ]

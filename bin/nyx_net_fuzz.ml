@@ -443,7 +443,7 @@ let read_file path =
 
 let replay_cmd =
   let input_arg =
-    let doc = "Serialized reproducer program (as written by fuzz --save-crashes)." in
+    let doc = "Serialized reproducer program (as written by fuzz --crash-dir)." in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc)
   in
   let minimize_arg =

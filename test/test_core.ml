@@ -247,6 +247,73 @@ let test_executor_suffix_cheaper_than_full () =
       true
       (suffix.Report.exec_ns * 3 < full.Report.exec_ns)
 
+(* Snapshot transparency: a mutant's suffix run against the incremental
+   snapshot must be indistinguishable from the whole mutant run from the
+   root — same status, protocol state and coverage map — in bytecode mode
+   on every registry target and in peer mode on every peer script. Each
+   case draws, for every target, a seed with at least 2 ops, an interior
+   snapshot index and [mutants] suffix mutants. Every target must compare
+   all its mutants, so sessions that fail to start (or a target with no
+   such seed) fail the property instead of passing it vacuously. *)
+let prop_snapshot_transparency ~peer =
+  let ns = Campaign.net_spec () in
+  let instance (entry : Nyx_targets.Registry.entry) =
+    let target = entry.Nyx_targets.Registry.target in
+    let name = target.Nyx_targets.Target.info.Nyx_targets.Target.name in
+    let exec, seeds =
+      if peer then
+        let script = Option.get (Nyx_peer.Peer_script.find name) in
+        ( Executor.create ~peer:script ~net_spec:ns target,
+          Nyx_peer.Peer_script.seed_programs script ns )
+      else (Executor.create ~net_spec:ns target, Nyx_targets.Registry.seed_programs entry ns)
+    in
+    (exec, Array.of_list (List.filter (fun p -> Nyx_spec.Program.packet_count p >= 2) seeds))
+  in
+  let entries =
+    if peer then
+      List.map
+        (fun n -> Option.get (Nyx_targets.Registry.find n))
+        (Nyx_peer.Peer_script.supported ())
+    else Nyx_targets.Registry.all ()
+  in
+  let instances = List.map instance entries in
+  let mutants = 4 in
+  let observe exec (r : Report.exec_result) =
+    ( r.Report.status,
+      r.Report.state_code,
+      Nyx_targets.Coverage.signature (Executor.coverage exec) )
+  in
+  let compare_pairs rng seed_pick at_pick (exec, seeds) =
+    if Array.length seeds = 0 then 0
+    else
+      let seed = seeds.(seed_pick mod Array.length seeds) in
+      let at = 1 + (at_pick mod (Nyx_spec.Program.packet_count seed - 1)) in
+      let snap = Nyx_spec.Program.with_snapshot_at seed at in
+      match Executor.start_session exec snap with
+      | Error _ -> 0
+      | Ok session ->
+        let frozen = Executor.suffix_start session in
+        let progs = List.init mutants (fun _ -> Nyx_spec.Mutator.mutate rng ~frozen snap) in
+        let suffix = List.map (fun p -> observe exec (Executor.run_suffix exec session p)) progs in
+        Executor.end_session exec session;
+        List.iter2
+          (fun p s ->
+            if s <> observe exec (Executor.run_full exec p) then
+              QCheck.Test.fail_reportf "%s: suffix run after op %d differs from the full run"
+                (Executor.target_name exec) at)
+          progs suffix;
+        mutants
+  in
+  QCheck.Test.make ~count:15
+    ~name:(if peer then "snapshot transparency, peer" else "snapshot transparency, bytecode")
+    QCheck.(triple small_nat small_nat int)
+    (fun (seed_pick, at_pick, rng_seed) ->
+      let rng = Nyx_sim.Rng.create rng_seed in
+      let pairs =
+        List.fold_left (fun n i -> n + compare_pairs rng seed_pick at_pick i) 0 instances
+      in
+      pairs = mutants * List.length entries)
+
 (* Campaign *)
 
 let quick_config policy =
@@ -546,6 +613,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_executor_deterministic;
           Alcotest.test_case "session" `Quick test_executor_session_lifecycle;
           Alcotest.test_case "suffix cheaper" `Quick test_executor_suffix_cheaper_than_full;
+          QCheck_alcotest.to_alcotest (prop_snapshot_transparency ~peer:false);
+          QCheck_alcotest.to_alcotest (prop_snapshot_transparency ~peer:true);
         ] );
       ( "report", [ Alcotest.test_case "helpers" `Quick test_report_helpers ] );
       ( "typed spec",
