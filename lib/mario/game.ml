@@ -10,6 +10,14 @@ exception Level_solved of { frames : int }
 let frames_per_byte = 4
 let frame_cost_ns = 50_000
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let walljump_glitch = Ctx.edge "mario/walljump-glitch"
+  let death_spike = Ctx.edge "mario/death:spike"
+  let death_pit = Ctx.edge "mario/death:pit"
+  let win = Ctx.edge "mario/win"
+end
+
 let buttons_of_byte b =
   {
     right = b land 1 <> 0;
@@ -118,7 +126,7 @@ let step t (b : buttons) =
         jump_pressed && (not on_ground) && vy > 0 && vy < 56
         && ((wall = 1 && b.right) || (wall = -1 && b.left))
       then begin
-        Ctx.hit t.ctx "mario/walljump-glitch";
+        Ctx.hit t.ctx Site.walljump_glitch;
         -jump_velocity
       end
       else vy
@@ -168,11 +176,11 @@ let step t (b : buttons) =
     (* Hazards and goals. *)
     let alive_now = ref true in
     if box_hits t Level.Spike x y then begin
-      Ctx.hit t.ctx "mario/death:spike";
+      Ctx.hit t.ctx Site.death_spike;
       alive_now := false
     end;
     if y / 16 > t.level.Level.height * Level.tile_px then begin
-      Ctx.hit t.ctx "mario/death:pit";
+      Ctx.hit t.ctx Site.death_pit;
       alive_now := false
     end;
     let frame = decode_i32 state f_frame + 1 in
@@ -191,9 +199,9 @@ let step t (b : buttons) =
     Guest_heap.set_bytes t.ctx.Ctx.heap t.base state;
     (* IJON-style position feedback: a coverage site per 32x32-px cell
        (integer site ids: this runs every frame). *)
-    Ctx.hit_id t.ctx (0x4d00 + (977 * (x / 16 / 32)) + (31 * (y / 16 / 32)));
+    Ctx.hit t.ctx (0x4d00 + (977 * (x / 16 / 32)) + (31 * (y / 16 / 32)));
     if won_now then begin
-      Ctx.hit t.ctx "mario/win";
+      Ctx.hit t.ctx Site.win;
       raise (Level_solved { frames = frame })
     end
   end

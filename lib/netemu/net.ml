@@ -63,12 +63,68 @@ let create ?(backend = Emulated) ?(boundaries = true) clock =
 
 let backend t = t.backend
 
+(* Restore without decoding. Beside its Marshal image, a capture keeps a
+   template: a private deep copy of the state. Each restore installs a
+   fresh copy of the template. A copy duplicates every mutable part (the
+   hash tables, in their bucket order, the socket records and the packet
+   bytes) and shares the immutable rest, so a restored state re-marshals
+   to the captured image byte for byte: the image sets virtual time and
+   feeds the fuzzy hash, and Marshal encodes sharing. *)
+
+let copy_packet (fl, data) = (fl, Bytes.copy data)
+
+let copy_sock s =
+  {
+    s with
+    inbox = List.map copy_packet s.inbox;
+    partial = Option.map copy_packet s.partial;
+    out_rev = List.map copy_packet s.out_rev;
+  }
+
+let copy_state st =
+  let socks = Hashtbl.copy st.socks in
+  Hashtbl.filter_map_inplace (fun _ s -> Some (copy_sock s)) socks;
+  {
+    st with
+    socks;
+    fds = Hashtbl.copy st.fds;
+    flows = Hashtbl.copy st.flows;
+    listeners = Hashtbl.copy st.listeners;
+  }
+
+(* Option names are the one part of the state a target hands in, often
+   string literals shared between sockets. A template owns private
+   copies, shared among themselves as in the image, so a restored state
+   shares nothing with the target — what decoding the image would give. *)
+let template_of st =
+  let template = copy_state st in
+  let owned = ref [] in
+  let own name =
+    match List.assq_opt name !owned with
+    | Some copy -> copy
+    | None ->
+      let copy = String.sub name 0 (String.length name) in
+      owned := (name, copy) :: !owned;
+      copy
+  in
+  Hashtbl.iter
+    (fun _ s -> s.options <- List.map (fun (name, v) -> (own name, v)) s.options)
+    template.socks;
+  template
+
+let reinstate t image template =
+  t.st <- copy_state template;
+  if Nyx_sim.Sanitize.armed && not (Bytes.equal (Marshal.to_bytes t.st []) image) then
+    failwith "Net: restored state does not re-marshal to the captured image"
+
 let register_aux t aux =
   Nyx_snapshot.Aux_state.register aux
     {
       Nyx_snapshot.Aux_state.name = "netemu";
-      save = (fun () -> Marshal.to_bytes t.st []);
-      load = (fun b -> t.st <- Marshal.from_bytes b 0);
+      save =
+        (fun () ->
+          let image = Marshal.to_bytes t.st [] and template = template_of t.st in
+          (image, fun () -> reinstate t image template));
     };
   (* The syscall counter is pure telemetry: it advances on every poll, so
      leaving it in the hashed image would make every op look like a new
@@ -325,30 +381,50 @@ let getsockopt t fd name =
   let s = sock_of_fd t fd in
   Option.value ~default:0 (List.assoc_opt name s.options)
 
-let fds_of_sid t sid =
-  Hashtbl.fold (fun fd (s, _) acc -> if s = sid then fd :: acc else acc) t.st.fds []
-  |> List.sort compare
+type readiness = Idle | Acceptable | Readable
+
+let readiness s =
+  match (s.backlog, s.proto) with
+  | _ :: _, (Tcp | Unix_sock) when s.listening -> Acceptable
+  | _ -> (
+    match (s.inbox, s.partial) with
+    | _ :: _, _ | _, Some _ -> Readable
+    | [], None -> if s.eof_pending then Readable else Idle)
+
+(* [2 * sid] for the ready socket with the lowest sid above [above] when
+   it can accept, [2 * sid + 1] when it can be read, [max_int] when none
+   is ready. An int accumulator: the fold allocates nothing per socket. *)
+let lowest_ready socks above =
+  Hashtbl.fold
+    (fun sid s best ->
+      if sid <= above || 2 * sid > best then best
+      else
+        match readiness s with
+        | Idle -> best
+        | Acceptable -> 2 * sid
+        | Readable -> (2 * sid) + 1)
+    socks max_int
+
+let lowest_fd fds sid =
+  Hashtbl.fold (fun fd (s, _) best -> if s = sid && fd < best then fd else best) fds max_int
+
+(* The ready socket with the lowest sid that some fd still refers to,
+   reported on its lowest fd. Two folds over the tables, no hashing, no
+   list: this runs on every turn of every target's event loop. A ready
+   socket no fd refers to (a connection still in a backlog) is skipped
+   by scanning again above its sid. *)
+let rec poll_above t above =
+  let key = lowest_ready t.st.socks above in
+  if key = max_int then None
+  else
+    let fd = lowest_fd t.st.fds (key / 2) in
+    if fd = max_int then poll_above t (key / 2)
+    else if key land 1 = 0 then Some (`Accept fd)
+    else Some (`Read fd)
 
 let poll t =
   charge t Nyx_sim.Cost.real_syscall;
-  let ready =
-    Hashtbl.fold
-      (fun sid s acc ->
-        let event =
-          if s.listening && s.proto <> Udp && s.backlog <> [] then Some `Accept
-          else if s.inbox <> [] || s.partial <> None || s.eof_pending then Some `Read
-          else None
-        in
-        match event with
-        | None -> acc
-        | Some ev -> (
-          match fds_of_sid t sid with [] -> acc | fd :: _ -> (sid, fd, ev) :: acc))
-      t.st.socks []
-  in
-  match List.sort compare ready with
-  | [] -> None
-  | (_, fd, `Accept) :: _ -> Some (`Accept fd)
-  | (_, fd, `Read) :: _ -> Some (`Read fd)
+  poll_above t 0
 
 let fork t =
   charge t Nyx_sim.Cost.fork;

@@ -19,7 +19,10 @@
 
     All state is closure-free and registered with {!Nyx_snapshot.Aux_state},
     so whole-VM snapshots capture and restore kernel socket state exactly
-    like the real system. *)
+    like the real system. A capture's image is the state's [Marshal]
+    bytes; a restore installs a copy of a template taken at capture time,
+    never decoding the image, and under [NYX_SANITIZE] checks that the
+    restored state re-marshals to those bytes. *)
 
 type t
 
@@ -105,8 +108,14 @@ val getsockopt : t -> fd -> string -> int
 
 val poll : t -> [ `Accept of fd | `Read of fd ] option
 (** The select/poll/epoll emulation: the next ready descriptor, or [None]
-    when the target would block. Deterministic order (lowest socket
-    first). *)
+    when the target would block. The order is exact and deterministic:
+    among the ready sockets that some fd still refers to, the one
+    created first (lowest internal socket id), reported on its lowest
+    fd. A ready socket no fd refers to (a connection still in a backlog,
+    or orphaned by its listener's close) is skipped. The event is
+    [`Accept] for a listening non-UDP socket with a non-empty backlog,
+    and [`Read] for a socket with queued input, an unread packet tail or
+    a pending EOF. *)
 
 val fork : t -> int
 (** Fork bookkeeping: the child shares the fd table (how forking servers

@@ -66,20 +66,16 @@ let register_aux t aux =
       Nyx_snapshot.Aux_state.name = "peer";
       save =
         (fun () ->
-          Marshal.to_bytes
-            (t.sess.s_stage, t.sess.s_flow, t.sess.s_adopted, t.sess.s_streak,
-             t.sess.s_quar)
-            []);
-      load =
-        (fun b ->
-          let stage, flow, adopted, streak, quar =
-            (Marshal.from_bytes b 0 : int * int option * int * int * bool)
-          in
-          t.sess.s_stage <- stage;
-          t.sess.s_flow <- flow;
-          t.sess.s_adopted <- adopted;
-          t.sess.s_streak <- streak;
-          t.sess.s_quar <- quar);
+          let s = t.sess in
+          let stage = s.s_stage and flow = s.s_flow and adopted = s.s_adopted
+          and streak = s.s_streak and quar = s.s_quar in
+          ( Marshal.to_bytes (stage, flow, adopted, streak, quar) [],
+            fun () ->
+              s.s_stage <- stage;
+              s.s_flow <- flow;
+              s.s_adopted <- adopted;
+              s.s_streak <- streak;
+              s.s_quar <- quar ));
     }
 
 (* ------------------------------------------------------------------ *)

@@ -1,28 +1,35 @@
-type handler = { name : string; save : unit -> bytes; load : bytes -> unit }
+type handler = { name : string; save : unit -> bytes * (unit -> unit) }
 
 type t = {
-  mutable handlers : handler list; (* reversed *)
+  mutable handlers : handler list; (* registration order *)
   mutable hash_views : (string * (unit -> bytes)) list;
 }
 
-type capture = (string * bytes) list
+(* One handler's share of a capture: its image (what is charged, sized
+   and hashed) and the closure that reinstates the captured state. *)
+type entry = { owner : string; image : bytes; reinstate : unit -> unit }
+
+type capture = entry list
 
 let create () = { handlers = []; hash_views = [] }
 
-let register t h = t.handlers <- h :: t.handlers
+let register t h = t.handlers <- t.handlers @ [ h ]
 
 let register_hash_view t ~name view =
   t.hash_views <- (name, view) :: List.remove_assoc name t.hash_views
 
-let in_order t = List.rev t.handlers
+let charge clock image =
+  Nyx_sim.Clock.advance clock (Nyx_sim.Cost.aux_state_per_byte (Bytes.length image))
 
 let capture t clock =
   List.map
     (fun h ->
-      let b = h.save () in
-      Nyx_sim.Clock.advance clock (Nyx_sim.Cost.aux_state_per_byte (Bytes.length b));
-      (h.name, b))
-    (in_order t)
+      let image, reinstate = h.save () in
+      charge clock image;
+      { owner = h.name; image; reinstate })
+    t.handlers
+
+let not_restorable () = invalid_arg "Aux_state.restore: a hash capture cannot be restored"
 
 (* Like [capture], but a handler that registered a hash view is read
    through it instead of [save]. The view lets a component present a
@@ -32,27 +39,32 @@ let capture t clock =
 let hash_capture t clock =
   List.map
     (fun h ->
-      let b =
+      let image =
         match List.assoc_opt h.name t.hash_views with
         | Some view -> view ()
-        | None -> h.save ()
+        | None -> fst (h.save ())
       in
-      Nyx_sim.Clock.advance clock (Nyx_sim.Cost.aux_state_per_byte (Bytes.length b));
-      (h.name, b))
-    (in_order t)
+      charge clock image;
+      { owner = h.name; image; reinstate = not_restorable })
+    t.handlers
+
+let mismatch () = invalid_arg "Aux_state.restore: handler set changed since capture"
+
+(* Runs on every snapshot restore: a plain loop, no closure. *)
+let rec reinstate_all clock handlers cap =
+  match (handlers, cap) with
+  | h :: handlers, e :: cap ->
+    if not (String.equal h.name e.owner) then mismatch ();
+    charge clock e.image;
+    e.reinstate ();
+    reinstate_all clock handlers cap
+  | _ -> ()
 
 let restore t clock cap =
-  let handlers = in_order t in
-  if List.length handlers <> List.length cap then
-    invalid_arg "Aux_state.restore: handler set changed since capture";
-  List.iter2
-    (fun h (name, b) ->
-      if h.name <> name then invalid_arg "Aux_state.restore: handler set changed since capture";
-      Nyx_sim.Clock.advance clock (Nyx_sim.Cost.aux_state_per_byte (Bytes.length b));
-      h.load b)
-    handlers cap
+  if List.compare_lengths t.handlers cap <> 0 then mismatch ();
+  reinstate_all clock t.handlers cap
 
-let size_bytes cap = List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 cap
+let size_bytes cap = List.fold_left (fun acc e -> acc + Bytes.length e.image) 0 cap
 
 (* StateAFL-style fuzzy state hash. The captured aux state mixes real
    protocol state (socket tables, agent bookkeeping) with payload echoes
@@ -76,8 +88,8 @@ let fuzzy_hash (cap : capture) =
   let h = ref fnv_offset in
   let mix v = h := (!h lxor v) * fnv_prime in
   List.iter
-    (fun (name, b) ->
-      String.iter (fun c -> mix (Char.code c)) name;
+    (fun { owner; image = b; _ } ->
+      String.iter (fun c -> mix (Char.code c)) owner;
       let n = Bytes.length b in
       mix (n / chunk_size);
       let i = ref 0 in

@@ -2,14 +2,26 @@
 
     A whole-VM snapshot captures more than guest RAM: kernel socket state,
     the agent's bookkeeping, etc. Components holding such state (notably
-    the emulated network stack) register save/load handlers here; the
-    snapshot engines capture and restore them alongside memory and devices.
-    Handlers must serialize closure-free data only. *)
+    the emulated network stack) register a handler here; the snapshot
+    engines capture and restore them alongside memory and devices.
+
+    The handler contract: [save ()] returns the state's image and a
+    closure that reinstates exactly the state the image describes.
+    - The image is what a capture is charged for
+      ({!Nyx_sim.Cost.aux_state_per_byte} per byte), sized by
+      {!size_bytes} and hashed by {!fuzzy_hash}; restores are charged by
+      its length too. Its bytes must be a pure function of the state.
+    - The closure may run any number of times, each time after arbitrary
+      mutation of the live state. It must not decode the image (restores
+      are the hot path; captures are rare), and the state it installs
+      must share nothing mutable with the live state or with the other
+      restores of the same capture.
+    - A capture restores the components of the registry that took it. *)
 
 type handler = {
   name : string;
-  save : unit -> bytes;
-  load : bytes -> unit;
+  save : unit -> bytes * (unit -> unit);
+      (** the state's image, and the closure that reinstates it *)
 }
 
 type t
@@ -37,8 +49,10 @@ val hash_capture : t -> Nyx_sim.Clock.t -> capture
     per byte of the viewed image. *)
 
 val restore : t -> Nyx_sim.Clock.t -> capture -> unit
-(** Restore a previous capture, charging per byte.
-    @raise Invalid_argument if the handler set changed since capture. *)
+(** Restore a previous capture: run each handler's reinstate closure,
+    charging per byte of its image.
+    @raise Invalid_argument if the handler set changed since capture, or
+    on a {!hash_capture}. *)
 
 val size_bytes : capture -> int
 

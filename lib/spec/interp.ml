@@ -21,12 +21,7 @@ let () =
       Some (Printf.sprintf "Interp.Violation(op %d, %s: %s)" op code detail)
     | _ -> None)
 
-(* Read NYX_SANITIZE once at load: the interpreter runs millions of ops
-   per campaign and must not touch the environment per exec. *)
-let sanitize_default =
-  match Sys.getenv_opt "NYX_SANITIZE" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
+let sanitize_default = Nyx_sim.Sanitize.armed
 
 let total_outputs p =
   Array.fold_left

@@ -18,16 +18,16 @@ let of_vm ?asan ?layout_cookie ~net (vm : Nyx_vm.Vm.t) =
   create ?asan ?layout_cookie ~heap:vm.Nyx_vm.Vm.heap ~net ~disk:vm.Nyx_vm.Vm.disk
     vm.Nyx_vm.Vm.clock
 
-let hit t site =
-  Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.edge;
-  Coverage.hit t.cov (Hashtbl.hash site)
+let edge name = Hashtbl.hash name
 
-let hit_id t site =
-  Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.edge;
-  Coverage.hit t.cov site
+let edge_pair name = (edge (name ^ ":T"), edge (name ^ ":F"))
 
-let branch t site cond =
-  hit t (if cond then site ^ ":T" else site ^ ":F");
+let hit t id =
+  Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.edge;
+  Coverage.hit t.cov id
+
+let branch t (on_true, on_false) cond =
+  hit t (if cond then on_true else on_false);
   cond
 
 let crash _t ~kind detail = raise (Crash { kind; detail })

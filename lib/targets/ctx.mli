@@ -4,7 +4,11 @@
     the coverage map and the virtual clock, plus sanitizer configuration.
     Instrumentation callbacks ({!hit}, {!branch}) are this reproduction's
     analogue of AFL compile-time instrumentation: sites are named by
-    strings and hashed into the coverage map. *)
+    strings, and each name is hashed into an edge id once, where a
+    target builds its hooks (module top level, or the function that
+    builds the hooks), so a hit costs what AFL's does: a clock charge and
+    a map update. Only names that carry input text (a command verb, a
+    route) are hashed at the hit, through {!edge}. *)
 
 type t = {
   heap : Nyx_vm.Guest_heap.t;
@@ -41,17 +45,20 @@ val of_vm :
   ?asan:bool -> ?layout_cookie:int -> net:Nyx_netemu.Net.t -> Nyx_vm.Vm.t -> t
 (** Convenience: heap, disk and clock taken from the VM. *)
 
-val hit : t -> string -> unit
-(** Record an edge at the site named by the string (hashed), charging
-    {!Nyx_sim.Cost.edge}. *)
+val edge : string -> int
+(** The edge id of the site named by the string: its [Hashtbl.hash]. *)
 
-val hit_id : t -> int -> unit
-(** Like {!hit} with a precomputed integer site id — for instrumentation
-    in per-frame hot paths (the Mario position feedback). *)
+val edge_pair : string -> int * int
+(** The ids of a two-way branch site: [edge (name ^ ":T")] and
+    [edge (name ^ ":F")]. *)
 
-val branch : t -> string -> bool -> bool
-(** [branch t site cond] records the taken direction as an edge and
-    returns [cond] — instrument-and-test in one expression. *)
+val hit : t -> int -> unit
+(** Record an edge at a site id, charging {!Nyx_sim.Cost.edge}. *)
+
+val branch : t -> int * int -> bool -> bool
+(** [branch t (on_true, on_false) cond] records the taken direction's id
+    (an {!edge_pair}) and returns [cond] — instrument-and-test in one
+    expression. *)
 
 val crash : t -> kind:string -> string -> 'a
 (** Raise {!Crash}. *)

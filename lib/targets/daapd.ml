@@ -3,6 +3,33 @@ open Nyx_vm
 let name = "forked-daapd"
 let site s = name ^ "/" ^ s
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let query_flag = Ctx.edge (site "query:flag")
+  let query_session_ok = Ctx.edge (site "query:session-ok")
+  let query_session_bad = Ctx.edge (site "query:session-bad")
+  let query_revision = Ctx.edge (site "query:revision")
+  let query_meta = Ctx.edge (site "query:meta")
+  let query_type = Ctx.edge (site "query:type")
+  let query_other = Ctx.edge (site "query:other")
+  let packet = Ctx.edge (site "packet")
+  let empty = Ctx.edge (site "empty")
+  let ua_itunes = Ctx.edge_pair (site "ua:itunes")
+  let enc_gzip = Ctx.edge_pair (site "enc:gzip")
+  let method_get = Ctx.edge (site "method:get")
+  let route_db_items = Ctx.edge_pair (site "route:db-items")
+  let db_id_ok = Ctx.edge (site "db:id-ok")
+  let db_items = Ctx.edge_pair (site "db:items")
+  let db_containers = Ctx.edge_pair (site "db:containers")
+  let db_id_bad = Ctx.edge (site "db:id-bad")
+  let route_unknown = Ctx.edge (site "route:unknown")
+  let method_post = Ctx.edge (site "method:post")
+  let post_ctrl = Ctx.edge_pair (site "post:ctrl")
+  let method_head = Ctx.edge (site "method:head")
+  let method_other = Ctx.edge (site "method:other")
+  let reqline_malformed = Ctx.edge (site "reqline:malformed")
+end
+
 let f_requests = 0
 
 let routes =
@@ -19,23 +46,23 @@ let parse_query ctx query =
   String.split_on_char '&' query
   |> List.iter (fun kv ->
          match String.index_opt kv '=' with
-         | None -> Ctx.hit ctx (site "query:flag")
+         | None -> Ctx.hit ctx Site.query_flag
          | Some i -> (
            let key = String.sub kv 0 i in
            match key with
            | "session-id" -> (
              let v = String.sub kv (i + 1) (String.length kv - i - 1) in
              match Proto_util.int_of_string_bounded ~max:1_000_000 v with
-             | Some _ -> Ctx.hit ctx (site "query:session-ok")
-             | None -> Ctx.hit ctx (site "query:session-bad"))
-           | "revision-number" -> Ctx.hit ctx (site "query:revision")
-           | "meta" -> Ctx.hit ctx (site "query:meta")
-           | "type" -> Ctx.hit ctx (site "query:type")
-           | _ -> Ctx.hit ctx (site "query:other")))
+             | Some _ -> Ctx.hit ctx Site.query_session_ok
+             | None -> Ctx.hit ctx Site.query_session_bad)
+           | "revision-number" -> Ctx.hit ctx Site.query_revision
+           | "meta" -> Ctx.hit ctx Site.query_meta
+           | "type" -> Ctx.hit ctx Site.query_type
+           | _ -> Ctx.hit ctx Site.query_other))
 
 let on_packet ctx ~g:_ ~conn ~reply data =
   let heap = ctx.Ctx.heap in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx Site.packet;
   Guest_heap.set_i32 heap (conn + f_requests)
     (Guest_heap.get_i32 heap (conn + f_requests) + 1);
   let text = Bytes.to_string data in
@@ -47,7 +74,7 @@ let on_packet ctx ~g:_ ~conn ~reply data =
             (String.length body) body))
   in
   match String.split_on_char '\n' text |> List.map String.trim with
-  | [] -> Ctx.hit ctx (site "empty")
+  | [] -> Ctx.hit ctx Site.empty
   | request_line :: headers -> (
     match Proto_util.tokens request_line with
     | meth :: url :: _ -> (
@@ -58,11 +85,11 @@ let on_packet ctx ~g:_ ~conn ~reply data =
           match Proto_util.header_value ~name:"User-Agent" h with
           | Some ua ->
             ignore
-              (Ctx.branch ctx (site "ua:itunes") (Proto_util.starts_with_ci ~prefix:"iTunes" ua))
+              (Ctx.branch ctx Site.ua_itunes (Proto_util.starts_with_ci ~prefix:"iTunes" ua))
           | None -> (
             match Proto_util.header_value ~name:"Accept-Encoding" h with
             | Some enc ->
-              ignore (Ctx.branch ctx (site "enc:gzip") (String.length enc > 0
+              ignore (Ctx.branch ctx Site.enc_gzip (String.length enc > 0
                                                         && String.contains enc 'g'))
             | None -> ()))
         headers;
@@ -74,9 +101,9 @@ let on_packet ctx ~g:_ ~conn ~reply data =
       if query <> "" then parse_query ctx query;
       match meth with
       | "GET" -> (
-        Ctx.hit ctx (site "method:get");
+        Ctx.hit ctx Site.method_get;
         (* Database items route: /databases/<n>/items *)
-        if Ctx.branch ctx (site "route:db-items")
+        if Ctx.branch ctx Site.route_db_items
              (Proto_util.starts_with_ci ~prefix:"/databases/" path
              && String.length path > 11)
         then begin
@@ -86,41 +113,41 @@ let on_packet ctx ~g:_ ~conn ~reply data =
             let dbid = String.sub rest 0 i in
             match Proto_util.int_of_string_bounded ~max:100 dbid with
             | Some _ ->
-              Ctx.hit ctx (site "db:id-ok");
+              Ctx.hit ctx Site.db_id_ok;
               let sub = String.sub rest i (String.length rest - i) in
-              if Ctx.branch ctx (site "db:items") (Proto_util.starts_with_ci ~prefix:"/items" sub)
+              if Ctx.branch ctx Site.db_items (Proto_util.starts_with_ci ~prefix:"/items" sub)
               then r 200 "OK" "adbs"
-              else if Ctx.branch ctx (site "db:containers")
+              else if Ctx.branch ctx Site.db_containers
                         (Proto_util.starts_with_ci ~prefix:"/containers" sub)
               then r 200 "OK" "aply"
               else r 404 "Not Found" ""
             | None ->
-              Ctx.hit ctx (site "db:id-bad");
+              Ctx.hit ctx Site.db_id_bad;
               r 400 "Bad Request" "")
           | None -> r 200 "OK" "avdb")
         end
         else begin
           match List.assoc_opt path routes with
           | Some body ->
-            Ctx.hit ctx (site ("route:" ^ path));
+            Ctx.hit ctx (Ctx.edge (site ("route:" ^ path)));
             r 200 "OK" body
           | None ->
-            Ctx.hit ctx (site "route:unknown");
+            Ctx.hit ctx Site.route_unknown;
             r 404 "Not Found" ""
         end)
       | "POST" ->
-        Ctx.hit ctx (site "method:post");
-        if Ctx.branch ctx (site "post:ctrl") (Proto_util.starts_with_ci ~prefix:"/ctrl-int" path)
+        Ctx.hit ctx Site.method_post;
+        if Ctx.branch ctx Site.post_ctrl (Proto_util.starts_with_ci ~prefix:"/ctrl-int" path)
         then r 204 "No Content" ""
         else r 405 "Method Not Allowed" ""
       | "HEAD" ->
-        Ctx.hit ctx (site "method:head");
+        Ctx.hit ctx Site.method_head;
         r 200 "OK" ""
       | _ ->
-        Ctx.hit ctx (site "method:other");
+        Ctx.hit ctx Site.method_other;
         r 501 "Not Implemented" "")
     | _ ->
-      Ctx.hit ctx (site "reqline:malformed");
+      Ctx.hit ctx Site.reqline_malformed;
       r 400 "Bad Request" "")
 
 let target =

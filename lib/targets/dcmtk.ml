@@ -3,6 +3,27 @@ open Nyx_vm
 let name = "dcmtk"
 let site s = name ^ "/" ^ s
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let elem_oversized = Ctx.edge_pair (site "elem:oversized")
+  let elem_empty = Ctx.edge (site "elem:empty")
+  let elem_small = Ctx.edge (site "elem:small")
+  let elem_large = Ctx.edge (site "elem:large")
+  let packet = Ctx.edge (site "packet")
+  let short = Ctx.edge_pair (site "short")
+  let len_exact = Ctx.edge_pair (site "len:exact")
+  let pdu_associate_rq = Ctx.edge (site "pdu:associate-rq")
+  let assoc_short = Ctx.edge_pair (site "assoc:short")
+  let assoc_version = Ctx.edge_pair (site "assoc:version")
+  let pdu_data = Ctx.edge (site "pdu:data")
+  let data_unassociated = Ctx.edge_pair (site "data:unassociated")
+  let data_multi = Ctx.edge_pair (site "data:multi")
+  let pdu_release_rq = Ctx.edge (site "pdu:release-rq")
+  let pdu_abort = Ctx.edge (site "pdu:abort")
+  let pdu_server_only = Ctx.edge (site "pdu:server-only")
+  let pdu_unknown = Ctx.edge (site "pdu:unknown")
+end
+
 (* PDU: type(1) reserved(1) length(4 BE) payload. *)
 let make_pdu pdu_type payload =
   let buf = Buffer.create (6 + Bytes.length payload) in
@@ -68,7 +89,7 @@ let parse_elements ctx ~conn ~buffer_addr payload =
     | None -> continue := false
     | Some elen ->
       incr elements;
-      if Ctx.branch ctx (site "elem:oversized") (!pos + 2 + elen > 64) then begin
+      if Ctx.branch ctx Site.elem_oversized (!pos + 2 + elen > 64) then begin
         (* Out-of-bounds read of the parse buffer. *)
         if ctx.Ctx.asan then
           ignore (Guest_heap.checked_get heap ~base:buffer_addr ~off:(!pos + 2) ~len:elen)
@@ -95,9 +116,9 @@ let parse_elements ctx ~conn ~buffer_addr payload =
       end
       else begin
         (match elen with
-        | 0 -> Ctx.hit ctx (site "elem:empty")
-        | n when n <= 4 -> Ctx.hit ctx (site "elem:small")
-        | _ -> Ctx.hit ctx (site "elem:large"));
+        | 0 -> Ctx.hit ctx Site.elem_empty
+        | n when n <= 4 -> Ctx.hit ctx Site.elem_small
+        | _ -> Ctx.hit ctx Site.elem_large);
         pos := !pos + 2 + elen + 4 (* value + next tag *)
       end
   done;
@@ -114,23 +135,23 @@ let on_init ctx ~g =
 
 let handle_pdu ctx ~g ~conn ~reply data =
   let heap = ctx.Ctx.heap in
-  Ctx.hit ctx (site "packet");
-  if Ctx.branch ctx (site "short") (Bytes.length data < 6) then ()
+  Ctx.hit ctx Site.packet;
+  if Ctx.branch ctx Site.short (Bytes.length data < 6) then ()
   else begin
     let pdu_type = Char.code (Bytes.get data 0) in
     let declared = Option.value ~default:0 (Proto_util.read_be data ~pos:2 ~len:4) in
     let payload_len = Bytes.length data - 6 in
-    ignore (Ctx.branch ctx (site "len:exact") (declared = payload_len));
+    ignore (Ctx.branch ctx Site.len_exact (declared = payload_len));
     let payload = Bytes.sub data 6 payload_len in
     Guest_heap.set_i32 heap (conn + f_pdus) (Guest_heap.get_i32 heap (conn + f_pdus) + 1);
     match pdu_type with
     | 1 ->
-      Ctx.hit ctx (site "pdu:associate-rq");
-      if Ctx.branch ctx (site "assoc:short") (payload_len < 36) then
+      Ctx.hit ctx Site.pdu_associate_rq;
+      if Ctx.branch ctx Site.assoc_short (payload_len < 36) then
         reply (make_pdu 3 (Bytes.of_string "\x00\x01")) (* reject *)
       else begin
         let version = Option.value ~default:0 (Proto_util.read_be payload ~pos:0 ~len:2) in
-        if Ctx.branch ctx (site "assoc:version") (version <> 1) then
+        if Ctx.branch ctx Site.assoc_version (version <> 1) then
           reply (make_pdu 3 (Bytes.of_string "\x00\x02"))
         else begin
           Guest_heap.set_i32 heap (conn + f_associated) 1;
@@ -139,25 +160,25 @@ let handle_pdu ctx ~g ~conn ~reply data =
         end
       end
     | 4 ->
-      Ctx.hit ctx (site "pdu:data");
-      if Ctx.branch ctx (site "data:unassociated")
+      Ctx.hit ctx Site.pdu_data;
+      if Ctx.branch ctx Site.data_unassociated
            (Guest_heap.get_i32 heap (conn + f_associated) = 0)
       then reply (make_pdu 7 Bytes.empty) (* abort *)
       else begin
         let buffer_addr = Guest_heap.get_i32 heap (g + g_buffer_addr) in
         let n = parse_elements ctx ~conn ~buffer_addr payload in
-        ignore (Ctx.branch ctx (site "data:multi") (n > 2));
+        ignore (Ctx.branch ctx Site.data_multi (n > 2));
         Ctx.set_state ctx 4;
         reply (make_pdu 4 (Bytes.of_string "\x00\x00"))
       end
     | 5 ->
-      Ctx.hit ctx (site "pdu:release-rq");
+      Ctx.hit ctx Site.pdu_release_rq;
       Guest_heap.set_i32 heap (conn + f_associated) 0;
       Ctx.set_state ctx 6;
       reply (make_pdu 6 Bytes.empty)
-    | 7 -> Ctx.hit ctx (site "pdu:abort")
-    | 2 | 3 | 6 -> Ctx.hit ctx (site "pdu:server-only")
-    | _ -> Ctx.hit ctx (site "pdu:unknown")
+    | 7 -> Ctx.hit ctx Site.pdu_abort
+    | 2 | 3 | 6 -> Ctx.hit ctx Site.pdu_server_only
+    | _ -> Ctx.hit ctx Site.pdu_unknown
   end
 
 (* A TCP read may contain several PDUs (or a partial one): walk them by

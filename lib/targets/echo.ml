@@ -2,17 +2,31 @@ open Nyx_vm
 
 let name = "echo"
 let site s = name ^ "/" ^ s
+let keyword = "BOOM"
+
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let packet = Ctx.edge (site "packet")
+  let cmd_mode = Ctx.edge_pair (site "cmd:mode")
+  let mode_raw = Ctx.edge_pair (site "mode:raw")
+  let len_big = Ctx.edge_pair (site "len:big")
+
+  (* One branch per keyword character: boom:0 .. boom:3. *)
+  let boom =
+    Array.init (String.length keyword) (fun i ->
+        Ctx.edge_pair (site (Printf.sprintf "boom:%d" i)))
+end
 
 let f_mode = 0 (* 0 = line mode, 1 = raw mode *)
 
 let on_packet ctx ~g:_ ~conn ~reply data =
   let heap = ctx.Ctx.heap in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx Site.packet;
   let line = Proto_util.line_of data in
-  if Ctx.branch ctx (site "cmd:mode") (Proto_util.starts_with_ci ~prefix:"MODE " line)
+  if Ctx.branch ctx Site.cmd_mode (Proto_util.starts_with_ci ~prefix:"MODE " line)
   then begin
     let arg = String.sub line 5 (String.length line - 5) in
-    if Ctx.branch ctx (site "mode:raw") (Proto_util.upper arg = "RAW") then begin
+    if Ctx.branch ctx Site.mode_raw (Proto_util.upper arg = "RAW") then begin
       Guest_heap.set_i32 heap (conn + f_mode) 1;
       reply (Bytes.of_string "mode: raw\r\n")
     end
@@ -25,19 +39,16 @@ let on_packet ctx ~g:_ ~conn ~reply data =
     (* Character-by-character keyword match: each prefix is its own branch,
        so coverage-guided fuzzers ratchet towards the full keyword. *)
     Guest_heap.get_i32 heap (conn + f_mode) = 1
-    && (let keyword = "BOOM" in
-        let rec matches i =
+    && (let rec matches i =
           i >= String.length keyword
-          || Ctx.branch ctx
-               (site (Printf.sprintf "boom:%d" i))
-               (String.length line > i
-               && Char.uppercase_ascii line.[i] = keyword.[i])
+          || Ctx.branch ctx Site.boom.(i)
+               (String.length line > i && Char.uppercase_ascii line.[i] = keyword.[i])
              && matches (i + 1)
         in
         matches 0)
   then Ctx.crash ctx ~kind:"assertion" "BOOM in raw mode"
   else begin
-    ignore (Ctx.branch ctx (site "len:big") (String.length line > 64));
+    ignore (Ctx.branch ctx Site.len_big (String.length line > 64));
     reply data
   end
 

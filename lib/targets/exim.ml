@@ -3,6 +3,44 @@ open Nyx_vm
 let name = "exim"
 let site s = name ^ "/" ^ s
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let addr_null = Ctx.edge_pair (site "addr:null")
+  let addr_at = Ctx.edge_pair (site "addr:at")
+  let addr_local_empty = Ctx.edge_pair (site "addr:local-empty")
+  let addr_domain_empty = Ctx.edge_pair (site "addr:domain-empty")
+  let addr_bare = Ctx.edge (site "addr:bare")
+  let addr_unbracketed = Ctx.edge (site "addr:unbracketed")
+  let data_header = Ctx.edge (site "data:header")
+  let hdr_subject = Ctx.edge (site "hdr:subject")
+  let hdr_from = Ctx.edge (site "hdr:from")
+  let hdr_to = Ctx.edge (site "hdr:to")
+  let hdr_received = Ctx.edge (site "hdr:received")
+  let hdr_other = Ctx.edge (site "hdr:other")
+  let hdr_long = Ctx.edge_pair (site "hdr:long")
+  let hdr_late_colon = Ctx.edge_pair (site "hdr:late-colon")
+  let data_late_header = Ctx.edge (site "data:late-header")
+  let data_body = Ctx.edge_pair (site "data:body")
+  let data_blank = Ctx.edge (site "data:blank")
+  let connect = Ctx.edge (site "connect")
+  let packet = Ctx.edge (site "packet")
+  let in_data = Ctx.edge_pair (site "in-data")
+  let data_end = Ctx.edge (site "data:end")
+  let helo_noarg = Ctx.edge_pair (site "helo:noarg")
+  let mail_order = Ctx.edge_pair (site "mail:order")
+  let mail_syntax = Ctx.edge (site "mail:syntax")
+  let rcpt_order = Ctx.edge_pair (site "rcpt:order")
+  let rcpt_syntax = Ctx.edge (site "rcpt:syntax")
+  let rcpt_many = Ctx.edge_pair (site "rcpt:many")
+  let data_order = Ctx.edge_pair (site "data:order")
+  let cmd_vrfy = Ctx.edge (site "cmd:vrfy")
+  let cmd_expn = Ctx.edge (site "cmd:expn")
+  let cmd_auth = Ctx.edge (site "cmd:auth")
+  let auth_plain = Ctx.edge_pair (site "auth:plain")
+  let cmd_starttls = Ctx.edge (site "cmd:starttls")
+  let cmd_unknown = Ctx.edge (site "cmd:unknown")
+end
+
 (* Connection state offsets: the classic SMTP state machine. *)
 let f_phase = 0 (* 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data *)
 let f_rcpts = 4
@@ -16,19 +54,19 @@ let parse_address ctx arg =
   match (String.index_opt arg '<', String.index_opt arg '>') with
   | Some i, Some j when j > i ->
     let addr = String.sub arg (i + 1) (j - i - 1) in
-    if Ctx.branch ctx (site "addr:null") (addr = "") then Some ""
-    else if Ctx.branch ctx (site "addr:at") (String.contains addr '@') then begin
+    if Ctx.branch ctx Site.addr_null (addr = "") then Some ""
+    else if Ctx.branch ctx Site.addr_at (String.contains addr '@') then begin
       let at = String.index addr '@' in
-      ignore (Ctx.branch ctx (site "addr:local-empty") (at = 0));
-      ignore (Ctx.branch ctx (site "addr:domain-empty") (at = String.length addr - 1));
+      ignore (Ctx.branch ctx Site.addr_local_empty (at = 0));
+      ignore (Ctx.branch ctx Site.addr_domain_empty (at = String.length addr - 1));
       Some addr
     end
     else begin
-      Ctx.hit ctx (site "addr:bare");
+      Ctx.hit ctx Site.addr_bare;
       Some addr
     end
   | _ ->
-    Ctx.hit ctx (site "addr:unbracketed");
+    Ctx.hit ctx Site.addr_unbracketed;
     None
 
 (* Inside DATA: header rewriting. A header line longer than the rewrite
@@ -40,26 +78,26 @@ let process_data_line ctx ~conn line =
     (Guest_heap.get_i32 heap (conn + f_data_lines) + 1);
   match String.index_opt line ':' with
   | Some colon when Guest_heap.get_i32 heap (conn + f_data_lines) <= 32 ->
-    Ctx.hit ctx (site "data:header");
+    Ctx.hit ctx Site.data_header;
     (match Proto_util.upper (String.sub line 0 (min colon 16)) with
-    | "SUBJECT" -> Ctx.hit ctx (site "hdr:subject")
-    | "FROM" -> Ctx.hit ctx (site "hdr:from")
-    | "TO" -> Ctx.hit ctx (site "hdr:to")
-    | "RECEIVED" -> Ctx.hit ctx (site "hdr:received")
-    | _ -> Ctx.hit ctx (site "hdr:other"));
-    if Ctx.branch ctx (site "hdr:long") (String.length line > rewrite_buffer_len) then
-      if Ctx.branch ctx (site "hdr:late-colon") (colon > fold_point) then
+    | "SUBJECT" -> Ctx.hit ctx Site.hdr_subject
+    | "FROM" -> Ctx.hit ctx Site.hdr_from
+    | "TO" -> Ctx.hit ctx Site.hdr_to
+    | "RECEIVED" -> Ctx.hit ctx Site.hdr_received
+    | _ -> Ctx.hit ctx Site.hdr_other);
+    if Ctx.branch ctx Site.hdr_long (String.length line > rewrite_buffer_len) then
+      if Ctx.branch ctx Site.hdr_late_colon (colon > fold_point) then
         Ctx.crash ctx ~kind:"buffer-overflow"
           (Printf.sprintf
              "header rewrite: %d-byte line with colon at %d overflows continuation buffer"
              (String.length line) colon)
-  | Some _ -> Ctx.hit ctx (site "data:late-header")
+  | Some _ -> Ctx.hit ctx Site.data_late_header
   | None ->
-    if Ctx.branch ctx (site "data:body") (String.length line > 0) then ()
-    else Ctx.hit ctx (site "data:blank")
+    if Ctx.branch ctx Site.data_body (String.length line > 0) then ()
+    else Ctx.hit ctx Site.data_blank
 
 let on_connect ctx ~g:_ ~conn:_ ~reply =
-  Ctx.hit ctx (site "connect");
+  Ctx.hit ctx Site.connect;
   reply (Bytes.of_string "220 mail.example.com ESMTP Exim\r\n")
 
 let on_packet ctx ~g:_ ~conn ~reply data =
@@ -68,9 +106,9 @@ let on_packet ctx ~g:_ ~conn ~reply data =
     Ctx.set_state ctx code;
     reply (Bytes.of_string (Printf.sprintf "%d %s\r\n" code text))
   in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx Site.packet;
   let phase = Guest_heap.get_i32 heap (conn + f_phase) in
-  if Ctx.branch ctx (site "in-data") (phase = 4) then begin
+  if Ctx.branch ctx Site.in_data (phase = 4) then begin
     (* DATA mode: lines until "." terminator. *)
     let text = Bytes.to_string data in
     let lines = String.split_on_char '\n' text |> List.map String.trim in
@@ -81,7 +119,7 @@ let on_packet ctx ~g:_ ~conn ~reply data =
         else if line = "." then begin
           finished := true;
           Guest_heap.set_i32 heap (conn + f_phase) 1;
-          Ctx.hit ctx (site "data:end");
+          Ctx.hit ctx Site.data_end;
           r 250 "message accepted"
         end
         else process_data_line ctx ~conn line)
@@ -98,17 +136,17 @@ let on_packet ctx ~g:_ ~conn ~reply data =
     in
     match cmd with
     | "EHLO" | "HELO" ->
-      Ctx.hit ctx (site ("cmd:" ^ cmd));
-      if Ctx.branch ctx (site "helo:noarg") (arg = "") then r 501 "domain required"
+      Ctx.hit ctx (Ctx.edge (site ("cmd:" ^ cmd)));
+      if Ctx.branch ctx Site.helo_noarg (arg = "") then r 501 "domain required"
       else begin
         Guest_heap.set_i32 heap (conn + f_phase) 1;
         if cmd = "EHLO" then r 250 "mail.example.com Hello [extensions: SIZE PIPELINING]"
         else r 250 "mail.example.com Hello"
       end
     | "MAIL" ->
-      if Ctx.branch ctx (site "mail:order") (phase < 1) then r 503 "EHLO first"
+      if Ctx.branch ctx Site.mail_order (phase < 1) then r 503 "EHLO first"
       else if not (Proto_util.starts_with_ci ~prefix:"FROM:" arg) then begin
-        Ctx.hit ctx (site "mail:syntax");
+        Ctx.hit ctx Site.mail_syntax;
         r 501 "syntax: MAIL FROM:<address>"
       end
       else begin
@@ -120,9 +158,9 @@ let on_packet ctx ~g:_ ~conn ~reply data =
         | None -> r 501 "bad sender address"
       end
     | "RCPT" ->
-      if Ctx.branch ctx (site "rcpt:order") (phase < 2) then r 503 "MAIL first"
+      if Ctx.branch ctx Site.rcpt_order (phase < 2) then r 503 "MAIL first"
       else if not (Proto_util.starts_with_ci ~prefix:"TO:" arg) then begin
-        Ctx.hit ctx (site "rcpt:syntax");
+        Ctx.hit ctx Site.rcpt_syntax;
         r 501 "syntax: RCPT TO:<address>"
       end
       else begin
@@ -130,7 +168,7 @@ let on_packet ctx ~g:_ ~conn ~reply data =
         | Some _ ->
           let n = Guest_heap.get_i32 heap (conn + f_rcpts) + 1 in
           Guest_heap.set_i32 heap (conn + f_rcpts) n;
-          if Ctx.branch ctx (site "rcpt:many") (n > 10) then r 452 "too many recipients"
+          if Ctx.branch ctx Site.rcpt_many (n > 10) then r 452 "too many recipients"
           else begin
             Guest_heap.set_i32 heap (conn + f_phase) 3;
             r 250 "recipient ok"
@@ -138,7 +176,7 @@ let on_packet ctx ~g:_ ~conn ~reply data =
         | None -> r 501 "bad recipient address"
       end
     | "DATA" ->
-      if Ctx.branch ctx (site "data:order") (phase < 3) then r 503 "RCPT first"
+      if Ctx.branch ctx Site.data_order (phase < 3) then r 503 "RCPT first"
       else begin
         Guest_heap.set_i32 heap (conn + f_phase) 4;
         Guest_heap.set_i32 heap (conn + f_data_lines) 0;
@@ -150,22 +188,22 @@ let on_packet ctx ~g:_ ~conn ~reply data =
     | "NOOP" -> r 250 "ok"
     | "QUIT" -> r 221 "closing connection"
     | "VRFY" ->
-      Ctx.hit ctx (site "cmd:vrfy");
+      Ctx.hit ctx Site.cmd_vrfy;
       r 252 "cannot verify"
     | "EXPN" ->
-      Ctx.hit ctx (site "cmd:expn");
+      Ctx.hit ctx Site.cmd_expn;
       r 550 "access denied"
     | "AUTH" ->
-      Ctx.hit ctx (site "cmd:auth");
-      if Ctx.branch ctx (site "auth:plain") (Proto_util.starts_with_ci ~prefix:"PLAIN" arg)
+      Ctx.hit ctx Site.cmd_auth;
+      if Ctx.branch ctx Site.auth_plain (Proto_util.starts_with_ci ~prefix:"PLAIN" arg)
       then r 235 "authentication successful"
       else r 504 "mechanism not supported"
     | "STARTTLS" ->
-      Ctx.hit ctx (site "cmd:starttls");
+      Ctx.hit ctx Site.cmd_starttls;
       r 454 "TLS not available"
     | "" -> r 500 "empty command"
     | _ ->
-      Ctx.hit ctx (site "cmd:unknown");
+      Ctx.hit ctx Site.cmd_unknown;
       r 500 "command unrecognized"
   end
 

@@ -1,6 +1,72 @@
 let name = "kamailio"
 let site s = name ^ "/" ^ s
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let uri_scheme = Ctx.edge_pair (site "uri:scheme")
+  let uri_user = Ctx.edge (site "uri:user")
+  let uri_user_empty = Ctx.edge_pair (site "uri:user-empty")
+  let uri_nouser = Ctx.edge (site "uri:nouser")
+  let uri_params = Ctx.edge (site "uri:params")
+  let uri_port_privileged = Ctx.edge_pair (site "uri:port-privileged")
+  let uri_port_bad = Ctx.edge (site "uri:port-bad")
+  let uri_sips = Ctx.edge_pair (site "uri:sips")
+  let uri_tel = Ctx.edge_pair (site "uri:tel")
+  let hdr_malformed = Ctx.edge (site "hdr:malformed")
+  let hdr_via = Ctx.edge (site "hdr:via")
+  let via_udp = Ctx.edge_pair (site "via:udp")
+  let via_tcp = Ctx.edge_pair (site "via:tcp")
+  let via_other = Ctx.edge (site "via:other")
+  let via_branch = Ctx.edge_pair (site "via:branch")
+  let via_nobranch = Ctx.edge (site "via:nobranch")
+  let hdr_from = Ctx.edge (site "hdr:from")
+  let from_unclosed = Ctx.edge (site "from:unclosed")
+  let from_tag = Ctx.edge_pair (site "from:tag")
+  let hdr_to = Ctx.edge (site "hdr:to")
+  let hdr_cseq = Ctx.edge (site "hdr:cseq")
+  let cseq_num_ok = Ctx.edge (site "cseq:num-ok")
+  let cseq_num_bad = Ctx.edge (site "cseq:num-bad")
+  let cseq_method_ok = Ctx.edge (site "cseq:method-ok")
+  let cseq_method_bad = Ctx.edge (site "cseq:method-bad")
+  let cseq_arity = Ctx.edge (site "cseq:arity")
+  let hdr_callid = Ctx.edge (site "hdr:callid")
+  let callid_host = Ctx.edge_pair (site "callid:host")
+  let hdr_contact = Ctx.edge (site "hdr:contact")
+  let contact_star = Ctx.edge_pair (site "contact:star")
+  let maxfwd_zero = Ctx.edge (site "maxfwd:zero")
+  let maxfwd_ok = Ctx.edge (site "maxfwd:ok")
+  let maxfwd_bad = Ctx.edge (site "maxfwd:bad")
+  let clen_ok = Ctx.edge (site "clen:ok")
+  let clen_bad = Ctx.edge (site "clen:bad")
+  let ctype_sdp = Ctx.edge_pair (site "ctype:sdp")
+  let ctype_other = Ctx.edge (site "ctype:other")
+  let hdr_expires = Ctx.edge (site "hdr:expires")
+  let hdr_route = Ctx.edge (site "hdr:route")
+  let hdr_auth = Ctx.edge (site "hdr:auth")
+  let auth_digest = Ctx.edge_pair (site "auth:digest")
+  let hdr_ua = Ctx.edge (site "hdr:ua")
+  let hdr_ext = Ctx.edge (site "hdr:ext")
+  let hdr_event = Ctx.edge (site "hdr:event")
+  let hdr_unknown = Ctx.edge (site "hdr:unknown")
+  let sdp_v = Ctx.edge (site "sdp:v")
+  let sdp_o = Ctx.edge (site "sdp:o")
+  let sdp_c = Ctx.edge (site "sdp:c")
+  let sdp_m = Ctx.edge (site "sdp:m")
+  let sdp_audio = Ctx.edge_pair (site "sdp:audio")
+  let sdp_a = Ctx.edge (site "sdp:a")
+  let sdp_other = Ctx.edge (site "sdp:other")
+  let sdp_junk = Ctx.edge (site "sdp:junk")
+  let packet = Ctx.edge (site "packet")
+  let empty = Ctx.edge (site "empty")
+  let version = Ctx.edge_pair (site "version")
+  let version_bad = Ctx.edge (site "version:bad")
+  let has_body = Ctx.edge_pair (site "has-body")
+  let response = Ctx.edge_pair (site "response")
+  let got_response = Ctx.edge (site "got-response")
+  let method_unknown = Ctx.edge (site "method:unknown")
+  let reqline_malformed = Ctx.edge (site "reqline:malformed")
+end
+
 let methods =
   [ "INVITE"; "REGISTER"; "OPTIONS"; "BYE"; "ACK"; "CANCEL"; "SUBSCRIBE";
     "NOTIFY"; "MESSAGE"; "REFER"; "INFO"; "UPDATE"; "PRACK"; "PUBLISH" ]
@@ -10,126 +76,126 @@ let split_lines s =
 
 (* sip:user@host:port;params *)
 let parse_uri ctx uri =
-  if Ctx.branch ctx (site "uri:scheme") (Proto_util.starts_with_ci ~prefix:"sip:" uri)
+  if Ctx.branch ctx Site.uri_scheme (Proto_util.starts_with_ci ~prefix:"sip:" uri)
   then begin
     let rest = String.sub uri 4 (String.length uri - 4) in
     (match String.index_opt rest '@' with
     | Some i ->
-      Ctx.hit ctx (site "uri:user");
-      if Ctx.branch ctx (site "uri:user-empty") (i = 0) then ()
-    | None -> Ctx.hit ctx (site "uri:nouser"));
+      Ctx.hit ctx Site.uri_user;
+      if Ctx.branch ctx Site.uri_user_empty (i = 0) then ()
+    | None -> Ctx.hit ctx Site.uri_nouser);
     (match String.index_opt rest ';' with
-    | Some _ -> Ctx.hit ctx (site "uri:params")
+    | Some _ -> Ctx.hit ctx Site.uri_params
     | None -> ());
     (match String.rindex_opt rest ':' with
     | Some i when i > 0 -> (
       let port = String.sub rest (i + 1) (String.length rest - i - 1) in
       match Proto_util.int_of_string_bounded ~max:65535 port with
-      | Some p -> ignore (Ctx.branch ctx (site "uri:port-privileged") (p < 1024))
-      | None -> Ctx.hit ctx (site "uri:port-bad"))
+      | Some p -> ignore (Ctx.branch ctx Site.uri_port_privileged (p < 1024))
+      | None -> Ctx.hit ctx Site.uri_port_bad)
     | _ -> ());
     true
   end
-  else if Ctx.branch ctx (site "uri:sips") (Proto_util.starts_with_ci ~prefix:"sips:" uri)
+  else if Ctx.branch ctx Site.uri_sips (Proto_util.starts_with_ci ~prefix:"sips:" uri)
   then true
-  else if Ctx.branch ctx (site "uri:tel") (Proto_util.starts_with_ci ~prefix:"tel:" uri)
+  else if Ctx.branch ctx Site.uri_tel (Proto_util.starts_with_ci ~prefix:"tel:" uri)
   then true
   else false
 
 let parse_header ctx line =
   match String.index_opt line ':' with
-  | None -> Ctx.hit ctx (site "hdr:malformed")
+  | None -> Ctx.hit ctx Site.hdr_malformed
   | Some i ->
     let hname = Proto_util.upper (String.trim (String.sub line 0 i)) in
     let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
     (match hname with
     | "VIA" | "V" ->
-      Ctx.hit ctx (site "hdr:via");
-      if Ctx.branch ctx (site "via:udp") (Proto_util.starts_with_ci ~prefix:"SIP/2.0/UDP" value)
+      Ctx.hit ctx Site.hdr_via;
+      if Ctx.branch ctx Site.via_udp (Proto_util.starts_with_ci ~prefix:"SIP/2.0/UDP" value)
       then ()
-      else if Ctx.branch ctx (site "via:tcp")
+      else if Ctx.branch ctx Site.via_tcp
                 (Proto_util.starts_with_ci ~prefix:"SIP/2.0/TCP" value)
       then ()
-      else Ctx.hit ctx (site "via:other");
+      else Ctx.hit ctx Site.via_other;
       (match String.index_opt value ';' with
       | Some _ ->
-        if Ctx.branch ctx (site "via:branch")
+        if Ctx.branch ctx Site.via_branch
              (Proto_util.header_value ~name:"Via" ("Via:" ^ value) <> None
              && String.length value > 12)
         then ()
-      | None -> Ctx.hit ctx (site "via:nobranch"))
+      | None -> Ctx.hit ctx Site.via_nobranch)
     | "FROM" | "F" ->
-      Ctx.hit ctx (site "hdr:from");
+      Ctx.hit ctx Site.hdr_from;
       (match String.index_opt value '<' with
       | Some i -> (
         match String.index_opt value '>' with
         | Some j when j > i ->
           ignore (parse_uri ctx (String.sub value (i + 1) (j - i - 1)))
-        | _ -> Ctx.hit ctx (site "from:unclosed"))
+        | _ -> Ctx.hit ctx Site.from_unclosed)
       | None -> ignore (parse_uri ctx value));
-      if Ctx.branch ctx (site "from:tag") (Proto_util.starts_with_ci ~prefix:"" value
+      if Ctx.branch ctx Site.from_tag (Proto_util.starts_with_ci ~prefix:"" value
                                            && String.length value > 0
                                            && String.length value < 2048) then ()
-    | "TO" | "T" -> Ctx.hit ctx (site "hdr:to")
+    | "TO" | "T" -> Ctx.hit ctx Site.hdr_to
     | "CSEQ" -> (
-      Ctx.hit ctx (site "hdr:cseq");
+      Ctx.hit ctx Site.hdr_cseq;
       match Proto_util.tokens value with
       | [ num; meth ] -> (
         (match Proto_util.int_of_string_bounded ~max:1_000_000 num with
-        | Some _ -> Ctx.hit ctx (site "cseq:num-ok")
-        | None -> Ctx.hit ctx (site "cseq:num-bad"));
-        if List.mem (Proto_util.upper meth) methods then Ctx.hit ctx (site "cseq:method-ok")
-        else Ctx.hit ctx (site "cseq:method-bad"))
-      | _ -> Ctx.hit ctx (site "cseq:arity"))
+        | Some _ -> Ctx.hit ctx Site.cseq_num_ok
+        | None -> Ctx.hit ctx Site.cseq_num_bad);
+        if List.mem (Proto_util.upper meth) methods then Ctx.hit ctx Site.cseq_method_ok
+        else Ctx.hit ctx Site.cseq_method_bad)
+      | _ -> Ctx.hit ctx Site.cseq_arity)
     | "CALL-ID" | "I" ->
-      Ctx.hit ctx (site "hdr:callid");
-      ignore (Ctx.branch ctx (site "callid:host") (String.contains value '@'))
+      Ctx.hit ctx Site.hdr_callid;
+      ignore (Ctx.branch ctx Site.callid_host (String.contains value '@'))
     | "CONTACT" | "M" ->
-      Ctx.hit ctx (site "hdr:contact");
-      ignore (Ctx.branch ctx (site "contact:star") (value = "*"))
+      Ctx.hit ctx Site.hdr_contact;
+      ignore (Ctx.branch ctx Site.contact_star (value = "*"))
     | "MAX-FORWARDS" -> (
       match Proto_util.int_of_string_bounded ~max:255 value with
-      | Some 0 -> Ctx.hit ctx (site "maxfwd:zero")
-      | Some _ -> Ctx.hit ctx (site "maxfwd:ok")
-      | None -> Ctx.hit ctx (site "maxfwd:bad"))
+      | Some 0 -> Ctx.hit ctx Site.maxfwd_zero
+      | Some _ -> Ctx.hit ctx Site.maxfwd_ok
+      | None -> Ctx.hit ctx Site.maxfwd_bad)
     | "CONTENT-LENGTH" | "L" -> (
       match Proto_util.int_of_string_bounded ~max:65536 value with
-      | Some _ -> Ctx.hit ctx (site "clen:ok")
-      | None -> Ctx.hit ctx (site "clen:bad"))
+      | Some _ -> Ctx.hit ctx Site.clen_ok
+      | None -> Ctx.hit ctx Site.clen_bad)
     | "CONTENT-TYPE" | "C" ->
-      if Ctx.branch ctx (site "ctype:sdp") (Proto_util.starts_with_ci ~prefix:"application/sdp" value)
+      if Ctx.branch ctx Site.ctype_sdp (Proto_util.starts_with_ci ~prefix:"application/sdp" value)
       then ()
-      else Ctx.hit ctx (site "ctype:other")
-    | "EXPIRES" -> Ctx.hit ctx (site "hdr:expires")
-    | "ROUTE" | "RECORD-ROUTE" -> Ctx.hit ctx (site "hdr:route")
+      else Ctx.hit ctx Site.ctype_other
+    | "EXPIRES" -> Ctx.hit ctx Site.hdr_expires
+    | "ROUTE" | "RECORD-ROUTE" -> Ctx.hit ctx Site.hdr_route
     | "AUTHORIZATION" | "PROXY-AUTHORIZATION" ->
-      Ctx.hit ctx (site "hdr:auth");
-      ignore (Ctx.branch ctx (site "auth:digest") (Proto_util.starts_with_ci ~prefix:"Digest" value))
-    | "USER-AGENT" -> Ctx.hit ctx (site "hdr:ua")
-    | "SUPPORTED" | "REQUIRE" -> Ctx.hit ctx (site "hdr:ext")
-    | "EVENT" | "O" -> Ctx.hit ctx (site "hdr:event")
-    | _ -> Ctx.hit ctx (site "hdr:unknown"))
+      Ctx.hit ctx Site.hdr_auth;
+      ignore (Ctx.branch ctx Site.auth_digest (Proto_util.starts_with_ci ~prefix:"Digest" value))
+    | "USER-AGENT" -> Ctx.hit ctx Site.hdr_ua
+    | "SUPPORTED" | "REQUIRE" -> Ctx.hit ctx Site.hdr_ext
+    | "EVENT" | "O" -> Ctx.hit ctx Site.hdr_event
+    | _ -> Ctx.hit ctx Site.hdr_unknown)
 
 let parse_sdp ctx body =
   List.iter
     (fun line ->
       if String.length line >= 2 && line.[1] = '=' then
         match line.[0] with
-        | 'v' -> Ctx.hit ctx (site "sdp:v")
-        | 'o' -> Ctx.hit ctx (site "sdp:o")
-        | 'c' -> Ctx.hit ctx (site "sdp:c")
+        | 'v' -> Ctx.hit ctx Site.sdp_v
+        | 'o' -> Ctx.hit ctx Site.sdp_o
+        | 'c' -> Ctx.hit ctx Site.sdp_c
         | 'm' ->
-          Ctx.hit ctx (site "sdp:m");
-          if Ctx.branch ctx (site "sdp:audio")
+          Ctx.hit ctx Site.sdp_m;
+          if Ctx.branch ctx Site.sdp_audio
                (Proto_util.starts_with_ci ~prefix:"m=audio" line)
           then ()
-        | 'a' -> Ctx.hit ctx (site "sdp:a")
-        | _ -> Ctx.hit ctx (site "sdp:other")
-      else if line <> "" then Ctx.hit ctx (site "sdp:junk"))
+        | 'a' -> Ctx.hit ctx Site.sdp_a
+        | _ -> Ctx.hit ctx Site.sdp_other
+      else if line <> "" then Ctx.hit ctx Site.sdp_junk)
     (split_lines body)
 
 let on_packet ctx ~g:_ ~conn:_ ~reply data =
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx Site.packet;
   let text = Bytes.to_string data in
   let head, body =
     match Proto_util.find_blank_line text with
@@ -137,18 +203,18 @@ let on_packet ctx ~g:_ ~conn:_ ~reply data =
     | None -> (text, "")
   in
   match split_lines head with
-  | [] -> Ctx.hit ctx (site "empty")
+  | [] -> Ctx.hit ctx Site.empty
   | request_line :: headers ->
     (match Proto_util.tokens request_line with
     | [ meth; uri; version ] ->
       let meth = Proto_util.upper meth in
       if List.mem meth methods then begin
-        Ctx.hit ctx (site ("method:" ^ meth));
+        Ctx.hit ctx (Ctx.edge (site ("method:" ^ meth)));
         ignore (parse_uri ctx uri);
-        if Ctx.branch ctx (site "version") (version = "SIP/2.0") then ()
-        else Ctx.hit ctx (site "version:bad");
+        if Ctx.branch ctx Site.version (version = "SIP/2.0") then ()
+        else Ctx.hit ctx Site.version_bad;
         List.iter (fun l -> if l <> "" then parse_header ctx l) headers;
-        if Ctx.branch ctx (site "has-body") (String.length body > 4) then
+        if Ctx.branch ctx Site.has_body (String.length body > 4) then
           parse_sdp ctx body;
         let code, text_resp =
           match meth with
@@ -161,15 +227,15 @@ let on_packet ctx ~g:_ ~conn:_ ~reply data =
         Ctx.set_state ctx code;
         reply (Bytes.of_string (Printf.sprintf "SIP/2.0 %d %s\r\n\r\n" code text_resp))
       end
-      else if Ctx.branch ctx (site "response") (Proto_util.starts_with_ci ~prefix:"SIP/2.0" meth)
-      then Ctx.hit ctx (site "got-response")
+      else if Ctx.branch ctx Site.response (Proto_util.starts_with_ci ~prefix:"SIP/2.0" meth)
+      then Ctx.hit ctx Site.got_response
       else begin
-        Ctx.hit ctx (site "method:unknown");
+        Ctx.hit ctx Site.method_unknown;
         Ctx.set_state ctx 501;
         reply (Bytes.of_string "SIP/2.0 501 Not Implemented\r\n\r\n")
       end
     | _ ->
-      Ctx.hit ctx (site "reqline:malformed");
+      Ctx.hit ctx Site.reqline_malformed;
       Ctx.set_state ctx 400;
       reply (Bytes.of_string "SIP/2.0 400 Bad Request\r\n\r\n"))
 

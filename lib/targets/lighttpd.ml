@@ -3,6 +3,31 @@ open Nyx_vm
 let name = "lighttpd"
 let site s = name ^ "/" ^ s
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let chunk_no_header_end = Ctx.edge (site "chunk:no-header-end")
+  let chunk_extension = Ctx.edge (site "chunk:extension")
+  let chunk_bad_size = Ctx.edge (site "chunk:bad-size")
+  let chunk_final = Ctx.edge (site "chunk:final")
+  let chunk_absurd_size = Ctx.edge (site "chunk:absurd-size")
+  let chunk_partial = Ctx.edge_pair (site "chunk:partial")
+  let chunk_underflow = Ctx.edge_pair (site "chunk:underflow")
+  let packet = Ctx.edge (site "packet")
+  let empty = Ctx.edge (site "empty")
+  let http11 = Ctx.edge_pair (site "http11")
+  let te_chunked = Ctx.edge_pair (site "te:chunked")
+  let te_other = Ctx.edge (site "te:other")
+  let conn_keepalive = Ctx.edge_pair (site "conn:keepalive")
+  let cl_ok = Ctx.edge (site "cl:ok")
+  let cl_bad = Ctx.edge (site "cl:bad")
+  let route_traversal = Ctx.edge_pair (site "route:traversal")
+  let route_miss = Ctx.edge (site "route:miss")
+  let chunks_multi = Ctx.edge_pair (site "chunks:multi")
+  let method_options = Ctx.edge (site "method:options")
+  let method_other = Ctx.edge (site "method:other")
+  let reqline_malformed = Ctx.edge (site "reqline:malformed")
+end
+
 (* Connection state. *)
 let f_requests = 0
 let f_keepalive = 4
@@ -25,7 +50,7 @@ let decode_chunked ctx body =
     else begin
       match String.index_from_opt body pos '\n' with
       | None ->
-        Ctx.hit ctx (site "chunk:no-header-end");
+        Ctx.hit ctx Site.chunk_no_header_end;
         chunks
       | Some nl ->
         let header = String.trim (String.sub body pos (nl - pos)) in
@@ -33,30 +58,30 @@ let decode_chunked ctx body =
         let header =
           match String.index_opt header ';' with
           | Some i ->
-            Ctx.hit ctx (site "chunk:extension");
+            Ctx.hit ctx Site.chunk_extension;
             String.sub header 0 i
           | None -> header
         in
         (match int_of_string_opt ("0x" ^ header) with
         | None ->
-          Ctx.hit ctx (site "chunk:bad-size");
+          Ctx.hit ctx Site.chunk_bad_size;
           chunks
         | Some 0 ->
-          Ctx.hit ctx (site "chunk:final");
+          Ctx.hit ctx Site.chunk_final;
           chunks
         | Some size when size < 0 || size > 0x100000 ->
-          Ctx.hit ctx (site "chunk:absurd-size");
+          Ctx.hit ctx Site.chunk_absurd_size;
           chunks
         | Some size ->
           let data_start = nl + 1 in
           let buffered = len - data_start in
-          ignore (Ctx.branch ctx (site "chunk:partial") (buffered < size));
+          ignore (Ctx.branch ctx Site.chunk_partial (buffered < size));
           (* The resize: needed = size - buffered, allocated without a
              sign check. A chunk header promising more than the declared
              request leaves 'needed' dominated by attacker data; crafted
              sizes drive the allocation negative. *)
           let needed = size - buffered in
-          if Ctx.branch ctx (site "chunk:underflow") (needed > 0 && buffered > 0 && size > 255)
+          if Ctx.branch ctx Site.chunk_underflow (needed > 0 && buffered > 0 && size > 255)
           then
             Ctx.crash ctx ~kind:"alloc-underflow"
               (Printf.sprintf
@@ -69,7 +94,7 @@ let decode_chunked ctx body =
 
 let on_packet ctx ~g:_ ~conn ~reply data =
   let heap = ctx.Ctx.heap in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx Site.packet;
   Guest_heap.set_i32 heap (conn + f_requests)
     (Guest_heap.get_i32 heap (conn + f_requests) + 1);
   let text = Bytes.to_string data in
@@ -80,68 +105,68 @@ let on_packet ctx ~g:_ ~conn ~reply data =
   in
   let lines = String.split_on_char '\n' head |> List.map String.trim in
   match lines with
-  | [] -> Ctx.hit ctx (site "empty")
+  | [] -> Ctx.hit ctx Site.empty
   | request_line :: headers -> (
     match Proto_util.tokens request_line with
     | [ meth; path; version ] -> (
       let meth = Proto_util.upper meth in
-      ignore (Ctx.branch ctx (site "http11") (version = "HTTP/1.1"));
+      ignore (Ctx.branch ctx Site.http11 (version = "HTTP/1.1"));
       let chunked = ref false in
       List.iter
         (fun h ->
           (match Proto_util.header_value ~name:"Transfer-Encoding" h with
           | Some v ->
-            if Ctx.branch ctx (site "te:chunked") (Proto_util.starts_with_ci ~prefix:"chunked" v)
+            if Ctx.branch ctx Site.te_chunked (Proto_util.starts_with_ci ~prefix:"chunked" v)
             then chunked := true
-            else Ctx.hit ctx (site "te:other")
+            else Ctx.hit ctx Site.te_other
           | None -> ());
           (match Proto_util.header_value ~name:"Connection" h with
           | Some v ->
-            if Ctx.branch ctx (site "conn:keepalive") (Proto_util.upper v = "KEEP-ALIVE")
+            if Ctx.branch ctx Site.conn_keepalive (Proto_util.upper v = "KEEP-ALIVE")
             then Guest_heap.set_i32 heap (conn + f_keepalive) 1
           | None -> ());
           match Proto_util.header_value ~name:"Content-Length" h with
           | Some v -> (
             match Proto_util.int_of_string_bounded ~max:1_000_000 v with
-            | Some _ -> Ctx.hit ctx (site "cl:ok")
-            | None -> Ctx.hit ctx (site "cl:bad"))
+            | Some _ -> Ctx.hit ctx Site.cl_ok
+            | None -> Ctx.hit ctx Site.cl_bad)
           | None -> ())
         headers;
       match meth with
       | "GET" | "HEAD" ->
         if List.mem path routes then begin
-          Ctx.hit ctx (site ("route:" ^ path));
+          Ctx.hit ctx (Ctx.edge (site ("route:" ^ path)));
           Ctx.set_state ctx 200;
           respond reply 200 "OK" (if meth = "HEAD" then "" else "<html>ok</html>")
         end
-        else if Ctx.branch ctx (site "route:traversal") (String.length path >= 2
+        else if Ctx.branch ctx Site.route_traversal (String.length path >= 2
                                                          && String.sub path 0 2 = "..")
         then begin
           Ctx.set_state ctx 403;
           respond reply 403 "Forbidden" ""
         end
         else begin
-          Ctx.hit ctx (site "route:miss");
+          Ctx.hit ctx Site.route_miss;
           Ctx.set_state ctx 404;
           respond reply 404 "Not Found" ""
         end
       | "POST" | "PUT" ->
-        Ctx.hit ctx (site ("method:" ^ meth));
+        Ctx.hit ctx (Ctx.edge (site ("method:" ^ meth)));
         if !chunked && String.length body > 0 then begin
           let chunks = decode_chunked ctx body in
-          ignore (Ctx.branch ctx (site "chunks:multi") (chunks > 1))
+          ignore (Ctx.branch ctx Site.chunks_multi (chunks > 1))
         end;
         Ctx.set_state ctx 200;
         respond reply 200 "OK" ""
       | "OPTIONS" ->
-        Ctx.hit ctx (site "method:options");
+        Ctx.hit ctx Site.method_options;
         respond reply 204 "No Content" ""
       | _ ->
-        Ctx.hit ctx (site "method:other");
+        Ctx.hit ctx Site.method_other;
         Ctx.set_state ctx 501;
         respond reply 501 "Not Implemented" "")
     | _ ->
-      Ctx.hit ctx (site "reqline:malformed");
+      Ctx.hit ctx Site.reqline_malformed;
       Ctx.set_state ctx 400;
       respond reply 400 "Bad Request" "")
 

@@ -3,6 +3,36 @@ open Nyx_vm
 let name = "mysql-client"
 let site s = name ^ "/" ^ s
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let greet_short = Ctx.edge_pair (site "greet:short")
+  let greet_proto10 = Ctx.edge_pair (site "greet:proto10")
+  let greet_unterminated_version = Ctx.edge (site "greet:unterminated-version")
+  let greet_long_version = Ctx.edge_pair (site "greet:long-version")
+  let greet_truncated = Ctx.edge_pair (site "greet:truncated")
+  let greet_no_auth_data = Ctx.edge (site "greet:no-auth-data")
+  let greet_auth_normal = Ctx.edge (site "greet:auth-normal")
+  let greet_auth_long = Ctx.edge (site "greet:auth-long")
+  let greet_salt_overflow = Ctx.edge_pair (site "greet:salt-overflow")
+  let greet_silent_overread = Ctx.edge (site "greet:silent-overread")
+  let greet_err_instead = Ctx.edge_pair (site "greet:err-instead")
+  let greet_unknown_proto = Ctx.edge (site "greet:unknown-proto")
+  let packet = Ctx.edge (site "packet")
+  let frame_short = Ctx.edge_pair (site "frame:short")
+  let auth_ok = Ctx.edge (site "auth:ok")
+  let auth_err = Ctx.edge (site "auth:err")
+  let auth_switch = Ctx.edge (site "auth:switch")
+  let auth_unknown = Ctx.edge (site "auth:unknown")
+  let result_ok = Ctx.edge (site "result:ok")
+  let result_err = Ctx.edge (site "result:err")
+  let err_short = Ctx.edge_pair (site "err:short")
+  let err_with_state = Ctx.edge (site "err:with-state")
+  let result_eof = Ctx.edge (site "result:eof")
+  let result_columns = Ctx.edge (site "result:columns")
+  let result_many_columns = Ctx.edge_pair (site "result:many-columns")
+  let result_lenenc = Ctx.edge (site "result:lenenc")
+end
+
 (* MySQL wire packets: [len:3 LE][seq:1][payload]. *)
 let frame seq payload =
   let len = Bytes.length payload in
@@ -55,34 +85,34 @@ let on_init ctx ~g =
 
 let parse_greeting ctx ~g payload =
   let heap = ctx.Ctx.heap in
-  if Ctx.branch ctx (site "greet:short") (Bytes.length payload < 5) then false
+  if Ctx.branch ctx Site.greet_short (Bytes.length payload < 5) then false
   else begin
     let proto = Char.code (Bytes.get payload 0) in
-    if Ctx.branch ctx (site "greet:proto10") (proto = 10) then begin
+    if Ctx.branch ctx Site.greet_proto10 (proto = 10) then begin
       (* Version string: NUL-terminated. *)
       let nul = Bytes.index_opt payload '\000' in
       match nul with
       | None ->
-        Ctx.hit ctx (site "greet:unterminated-version");
+        Ctx.hit ctx Site.greet_unterminated_version;
         false
       | Some vend ->
-        ignore (Ctx.branch ctx (site "greet:long-version") (vend > 24));
+        ignore (Ctx.branch ctx Site.greet_long_version (vend > 24));
         let fixed = vend + 1 + 4 + 8 + 1 + 2 + 1 + 2 + 2 in
-        if Ctx.branch ctx (site "greet:truncated") (fixed + 1 > Bytes.length payload)
+        if Ctx.branch ctx Site.greet_truncated (fixed + 1 > Bytes.length payload)
         then false
         else begin
           let auth_len = Char.code (Bytes.get payload fixed) in
           (match auth_len with
-          | 0 -> Ctx.hit ctx (site "greet:no-auth-data")
-          | n when n <= 21 -> Ctx.hit ctx (site "greet:auth-normal")
-          | _ -> Ctx.hit ctx (site "greet:auth-long"));
+          | 0 -> Ctx.hit ctx Site.greet_no_auth_data
+          | n when n <= 21 -> Ctx.hit ctx Site.greet_auth_normal
+          | _ -> Ctx.hit ctx Site.greet_auth_long);
           (* Copy salt2 into the scramble buffer, trusting auth_len. *)
           let scramble = Guest_heap.get_i32 heap (g + g_scramble_addr) in
           let want = max 0 (auth_len - 8) in
           let from = fixed + 1 + 10 in
           let avail = max 0 (Bytes.length payload - from) in
           let n = min want avail in
-          if Ctx.branch ctx (site "greet:salt-overflow") (n > scramble_len) then begin
+          if Ctx.branch ctx Site.greet_salt_overflow (n > scramble_len) then begin
             if ctx.Ctx.asan then
               (* ASan flags the first byte past the allocation. *)
               Guest_heap.checked_set heap ~base:scramble ~off:0
@@ -94,23 +124,23 @@ let parse_greeting ctx ~g payload =
                 (Printf.sprintf
                    "greeting advertises %d bytes of auth data; scramble buffer holds %d"
                    auth_len scramble_len)
-            else Ctx.hit ctx (site "greet:silent-overread")
+            else Ctx.hit ctx Site.greet_silent_overread
           end
           else if n > 0 then
             Guest_heap.set_bytes heap scramble (Bytes.sub payload from n);
           true
         end
     end
-    else if Ctx.branch ctx (site "greet:err-instead") (proto = 0xFF) then false
+    else if Ctx.branch ctx Site.greet_err_instead (proto = 0xFF) then false
     else begin
-      Ctx.hit ctx (site "greet:unknown-proto");
+      Ctx.hit ctx Site.greet_unknown_proto;
       false
     end
   end
 
 let on_packet ctx ~g ~conn ~reply data =
   let heap = ctx.Ctx.heap in
-  Ctx.hit ctx (site "packet");
+  Ctx.hit ctx Site.packet;
   Proto_util.iter_frames ~header_len:4
     ~frame_len:(fun h ->
       match Proto_util.read_be h ~pos:0 ~len:3 with
@@ -125,7 +155,7 @@ let on_packet ctx ~g ~conn ~reply data =
       | None -> None)
     data
     (fun pkt ->
-      if Ctx.branch ctx (site "frame:short") (Bytes.length pkt < 5) then ()
+      if Ctx.branch ctx Site.frame_short (Bytes.length pkt < 5) then ()
       else begin
         let payload = Bytes.sub pkt 4 (Bytes.length pkt - 4) in
         let phase = Guest_heap.get_i32 heap (conn + f_phase) in
@@ -140,32 +170,32 @@ let on_packet ctx ~g ~conn ~reply data =
         | 1 -> (
           match Char.code (Bytes.get payload 0) with
           | 0x00 ->
-            Ctx.hit ctx (site "auth:ok");
+            Ctx.hit ctx Site.auth_ok;
             Guest_heap.set_i32 heap (conn + f_phase) 2;
             Ctx.set_state ctx 2;
             (* Issue the query the user typed. *)
             reply (frame 0 (Bytes.of_string "\x03SELECT 1"))
           | 0xFF ->
-            Ctx.hit ctx (site "auth:err");
+            Ctx.hit ctx Site.auth_err;
             Ctx.set_state ctx 255
           | 0xFE ->
-            Ctx.hit ctx (site "auth:switch");
+            Ctx.hit ctx Site.auth_switch;
             reply (frame 3 (Bytes.of_string "scrambled-response"))
-          | _ -> Ctx.hit ctx (site "auth:unknown"))
+          | _ -> Ctx.hit ctx Site.auth_unknown)
         | _ -> (
           match Char.code (Bytes.get payload 0) with
-          | 0x00 -> Ctx.hit ctx (site "result:ok")
+          | 0x00 -> Ctx.hit ctx Site.result_ok
           | 0xFF ->
-            Ctx.hit ctx (site "result:err");
-            if Ctx.branch ctx (site "err:short") (Bytes.length payload < 9) then ()
-            else Ctx.hit ctx (site "err:with-state")
-          | 0xFE -> Ctx.hit ctx (site "result:eof")
+            Ctx.hit ctx Site.result_err;
+            if Ctx.branch ctx Site.err_short (Bytes.length payload < 9) then ()
+            else Ctx.hit ctx Site.err_with_state
+          | 0xFE -> Ctx.hit ctx Site.result_eof
           | n when n <= 250 ->
             (* Column count, then that many column definitions follow. *)
-            Ctx.hit ctx (site "result:columns");
+            Ctx.hit ctx Site.result_columns;
             Guest_heap.set_i32 heap (conn + f_columns) n;
-            ignore (Ctx.branch ctx (site "result:many-columns") (n > 16))
-          | _ -> Ctx.hit ctx (site "result:lenenc"))
+            ignore (Ctx.branch ctx Site.result_many_columns (n > 16))
+          | _ -> Ctx.hit ctx Site.result_lenenc)
       end)
 
 let target =

@@ -1,5 +1,10 @@
 open Nyx_vm
 
+(* Instrumentation sites, hashed into edge ids once, at load. *)
+module Site = struct
+  let quota = Ctx.edge_pair "pure-ftpd/quota"
+end
+
 let quota_limit = 20
 
 let quota_check (a : Ftp_common.special_args) =
@@ -7,7 +12,7 @@ let quota_check (a : Ftp_common.special_args) =
   (* Observe, never handle: the generic STOR handler still runs. *)
   if cmd = "STOR" || cmd = "APPE" then begin
     let stored = Guest_heap.get_i32 ctx.Ctx.heap (g + Ftp_common.Field.g_stored_count) in
-    if Ctx.branch ctx "pure-ftpd/quota" (stored >= quota_limit) then
+    if Ctx.branch ctx Site.quota (stored >= quota_limit) then
       Ctx.crash ctx ~kind:"oom-internal"
         (Printf.sprintf "upload quota bookkeeping exhausted after %d files" stored)
   end;

@@ -112,7 +112,7 @@ let pump rt =
       match Conn_table.insert rt.conns ~key:conn_fd with
       | None ->
         (* Connection table full: refuse, as real servers do. *)
-        Ctx.hit ctx (info.name ^ "/refuse");
+        Ctx.hit ctx (Ctx.edge (info.name ^ "/refuse"));
         Net.close net conn_fd
       | Some conn ->
         if info.forking then ignore (Net.fork net);
@@ -127,7 +127,7 @@ let pump rt =
           | None -> (
             match Conn_table.insert rt.conns ~key:flow with
             | None ->
-              Ctx.hit ctx (info.name ^ "/refuse");
+              Ctx.hit ctx (Ctx.edge (info.name ^ "/refuse"));
               None
             | Some addr ->
               let reply data = ignore (Net.sendto net fd flow data) in

@@ -247,9 +247,44 @@ let test_executor_suffix_cheaper_than_full () =
       true
       (suffix.Report.exec_ns * 3 < full.Report.exec_ns)
 
+(* Coverage pins: every registry target's seeds plus fixed havoc
+   mutants, digested by [Pins]. Recorded before the instrumentation
+   sites were bound to precomputed edge ids. *)
+let coverage_pins =
+  [
+    ("bftpd", "ec3135b9f6745ebf49106ef6a5112029");
+    ("dcmtk", "36ada47748492331bb045e8e83d946d8");
+    ("dnsmasq", "2f988455a0923b4ef54cd7816da06df2");
+    ("exim", "76eba911797564b074491ff4cf888709");
+    ("forked-daapd", "800fb3752d0e3ff0fedd8450151b7a58");
+    ("kamailio", "d8507789d478b37793942e95c331f65c");
+    ("lightftp", "2d2b6ca413bb2f46a7f89a8e50100809");
+    ("live555", "c00fe3d79fe63df7161e847a16aef28f");
+    ("openssh", "b75f67a8ae658c7a17701f3c3b4cabdc");
+    ("openssl", "b0a3ef8fb62dd608538540985d3503f3");
+    ("proftpd", "8d213a616a76f69bb2de0c455e5eb364");
+    ("pure-ftpd", "b36c9ba2df274ab6baae4cd60da8a0cf");
+    ("tinydtls", "83b8d870c7595a1696f1ff244993d0b0");
+    ("echo", "c2e44b08e31a65c558a26b4424165bfc");
+    ("firefox-ipc", "6b8385d0fe40427ab0af1ddc0185bd2c");
+    ("mysql-client", "cd95d7925febe88c63c89a537dc716ed");
+    ("lighttpd", "c958ffbf6cf253961e87ff64392e8fe8");
+  ]
+
+let test_coverage_pins () =
+  let entries = Nyx_targets.Registry.all () in
+  check_int "every registry target pinned" (List.length coverage_pins) (List.length entries);
+  List.iter
+    (fun (entry : Nyx_targets.Registry.entry) ->
+      let info = entry.Nyx_targets.Registry.target.Nyx_targets.Target.info in
+      let name = info.Nyx_targets.Target.name in
+      Alcotest.(check string) name (List.assoc name coverage_pins) (Pins.of_entry entry))
+    entries
+
 (* Snapshot transparency: a mutant's suffix run against the incremental
    snapshot must be indistinguishable from the whole mutant run from the
-   root — same status, protocol state and coverage map — in bytecode mode
+   root — same status, protocol state, coverage map and aux state (the
+   [state_hash] of the netemu and peer images) — in bytecode mode
    on every registry target and in peer mode on every peer script. Each
    case draws, for every target, a seed with at least 2 ops, an interior
    snapshot index and [mutants] suffix mutants. Every target must compare
@@ -294,12 +329,25 @@ let prop_snapshot_transparency ~peer =
       | Ok session ->
         let frozen = Executor.suffix_start session in
         let progs = List.init mutants (fun _ -> Nyx_spec.Mutator.mutate rng ~frozen snap) in
-        let suffix = List.map (fun p -> observe exec (Executor.run_suffix exec session p)) progs in
+        let suffix =
+          List.map
+            (fun p ->
+              let seen = observe exec (Executor.run_suffix exec session p) in
+              (seen, Executor.state_hash exec))
+            progs
+        in
         Executor.end_session exec session;
         List.iter2
-          (fun p s ->
-            if s <> observe exec (Executor.run_full exec p) then
+          (fun p (seen, hash) ->
+            if seen <> observe exec (Executor.run_full exec p) then
               QCheck.Test.fail_reportf "%s: suffix run after op %d differs from the full run"
+                (Executor.target_name exec) at;
+            (* [run_full] of a program with a snapshot op ends with a root
+               restore, so the state to compare is the stripped run's. *)
+            ignore (Executor.run_full exec (Nyx_spec.Program.strip_snapshots p));
+            if hash <> Executor.state_hash exec then
+              QCheck.Test.fail_reportf
+                "%s: netemu/peer state after the suffix run after op %d differs from the full run"
                 (Executor.target_name exec) at)
           progs suffix;
         mutants
@@ -613,6 +661,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_executor_deterministic;
           Alcotest.test_case "session" `Quick test_executor_session_lifecycle;
           Alcotest.test_case "suffix cheaper" `Quick test_executor_suffix_cheaper_than_full;
+          Alcotest.test_case "coverage pins" `Quick test_coverage_pins;
           QCheck_alcotest.to_alcotest (prop_snapshot_transparency ~peer:false);
           QCheck_alcotest.to_alcotest (prop_snapshot_transparency ~peer:true);
         ] );

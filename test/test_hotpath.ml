@@ -751,6 +751,107 @@ let test_mutate_alloc_bound () =
   if words > 1_000.0 then
     Alcotest.failf "Mutator.mutate allocates %.1f words per call (bound 1000)" words
 
+(* CI guard: a suffix execution allocates for what the target does, not
+   for host bookkeeping around it (edge-id strings, poll lists, decoding
+   the netemu image on restore). Words per [Executor.run_suffix] on each
+   registry target's first seed with at least 2 packets, snapshot after
+   half its packets. Measured after binding edge ids once (OCaml 5.1):
+   586 (mysql-client) to 2,194 (kamailio), lightftp 931; before, 781 to
+   2,784 and lightftp 1,288. Each bound is the measured value plus 25%
+   for other compiler versions. *)
+let suffix_word_bounds =
+  [
+    ("bftpd", 1_740);
+    ("dcmtk", 840);
+    ("dnsmasq", 930);
+    ("exim", 1_530);
+    ("forked-daapd", 1_410);
+    ("kamailio", 2_750);
+    ("lightftp", 1_170);
+    ("live555", 2_740);
+    ("openssh", 1_110);
+    ("openssl", 770);
+    ("proftpd", 1_220);
+    ("pure-ftpd", 1_190);
+    ("tinydtls", 1_040);
+    ("echo", 760);
+    ("firefox-ipc", 1_300);
+    ("mysql-client", 740);
+    ("lighttpd", 1_700);
+  ]
+
+let test_suffix_alloc_bound () =
+  let ns = Campaign.net_spec () in
+  let entries = Nyx_targets.Registry.all () in
+  check_int "every registry target bounded" (List.length suffix_word_bounds)
+    (List.length entries);
+  List.iter
+    (fun (entry : Nyx_targets.Registry.entry) ->
+      let target = entry.Nyx_targets.Registry.target in
+      let name = target.Nyx_targets.Target.info.Nyx_targets.Target.name in
+      let seed =
+        List.find
+          (fun p -> Program.packet_count p >= 2)
+          (Nyx_targets.Registry.seed_programs entry ns)
+      in
+      let snap = Program.with_snapshot_at seed (Program.packet_count seed / 2) in
+      let exec = Executor.create ~net_spec:ns target in
+      match Executor.start_session exec snap with
+      | Error _ -> Alcotest.failf "%s: session should start" name
+      | Ok session ->
+        let runs = 200 in
+        ignore (Executor.run_suffix exec session snap);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to runs do
+          ignore (Executor.run_suffix exec session snap)
+        done;
+        let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+        Executor.end_session exec session;
+        let bound = List.assoc name suffix_word_bounds in
+        if words > float_of_int bound then
+          Alcotest.failf "%s: run_suffix allocates %.0f words per exec (bound %d)" name words
+            bound)
+    entries
+
+(* Restoring netemu state must not allocate on the major heap. Decoding
+   a captured image with [Marshal.from_bytes] did: past 256 words the
+   decoded block goes straight to the major heap, and a state with four
+   connections is that big (357 words per restore here before). *)
+let test_netemu_restore_stays_minor () =
+  let clock = Nyx_sim.Clock.create () in
+  let net = Nyx_netemu.Net.create clock in
+  let aux = Nyx_snapshot.Aux_state.create () in
+  Nyx_netemu.Net.register_aux net aux;
+  let lfd = Nyx_netemu.Net.socket net Nyx_netemu.Net.Tcp in
+  Nyx_netemu.Net.bind net lfd 21;
+  Nyx_netemu.Net.listen net lfd;
+  for i = 1 to 4 do
+    let flow = Option.get (Nyx_netemu.Net.connect_peer net ~port:21) in
+    let cfd = Nyx_netemu.Net.accept net lfd in
+    Nyx_netemu.Net.setsockopt net cfd "TCP_NODELAY" 1;
+    Nyx_netemu.Net.send_peer net flow (Bytes.of_string (Printf.sprintf "USER u%d\r\n" i));
+    ignore (Nyx_netemu.Net.send net cfd (Bytes.of_string "220 ready\r\n"))
+  done;
+  let cap = Nyx_snapshot.Aux_state.capture aux clock in
+  check_int "four connections" 5 (Nyx_netemu.Net.open_socket_count net);
+  let restores = 1_000 in
+  let direct () =
+    (* A minor collection flushes this domain's allocation counters. *)
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  (* Start from an idle major GC: a cycle left in progress by earlier
+     tests moves [major_words - promoted_words] by itself. *)
+  Gc.full_major ();
+  let m0 = direct () in
+  for _ = 1 to restores do
+    Nyx_snapshot.Aux_state.restore aux clock cap
+  done;
+  let per_restore = (direct () -. m0) /. float_of_int restores in
+  if per_restore >= 1.0 then
+    Alcotest.failf "netemu restore allocates %.1f major-heap words per restore" per_restore
+
 (* ------------------------------------------------------------------ *)
 (* Campaign identity: fixed-seed results recorded from the pre-change
    implementation. Every field below (budget 8 virtual seconds, seed 7)
@@ -928,5 +1029,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_mutator_matches_reference;
           QCheck_alcotest.to_alcotest prop_havoc_matches_reference;
           Alcotest.test_case "mutate allocation bound" `Quick test_mutate_alloc_bound;
+        ] );
+      ( "exec allocation",
+        [
+          Alcotest.test_case "run_suffix allocation bound" `Quick test_suffix_alloc_bound;
+          Alcotest.test_case "netemu restore stays minor" `Quick
+            test_netemu_restore_stays_minor;
         ] );
     ]

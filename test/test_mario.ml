@@ -296,6 +296,27 @@ let test_hard_levels_solvable () =
       (List.length solved >= 2)
   end
 
+(* Coverage pin: level runs through the executor — seeds plus fixed
+   havoc mutants, digested by [Pins] (per-frame position edges, deaths,
+   the wall-jump glitch and the win). Recorded before the Mario sites
+   were bound to precomputed edge ids. *)
+let test_coverage_pin () =
+  List.iter
+    (fun (name, expected) ->
+      let level = Option.get (Level.find name) in
+      let entry =
+        {
+          Nyx_targets.Registry.target = Mario_target.target level;
+          seeds = Mario_target.seeds level;
+        }
+      in
+      Alcotest.(check string) name expected (Pins.of_entry entry))
+    [
+      ("1-1", "dbd8fe0a7f74e4bce45c8e19b8a4d028");
+      ("2-1", "3762d0fe8d8878d4c5588fbbd805012c");
+      ("4-3", "cfdf34d3d1fdeb33a743b8c506affa8f");
+    ]
+
 let () =
   Alcotest.run "nyx_mario"
     [
@@ -328,5 +349,6 @@ let () =
           Alcotest.test_case "snapshots" `Quick test_state_in_guest_memory_snapshots;
           Alcotest.test_case "input packets" `Quick test_input_packets_drive_game;
           Alcotest.test_case "frame costs" `Quick test_frame_costs_charged;
+          Alcotest.test_case "coverage pin" `Quick test_coverage_pin;
         ] );
     ]

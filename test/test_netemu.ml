@@ -262,6 +262,190 @@ let test_names_and_options () =
   check_int "last write wins" 0 (Net.getsockopt net lfd "SO_REUSEADDR");
   check_int "other option kept" 1 (Net.getsockopt net lfd "TCP_NODELAY")
 
+(* Poll order: the ready socket with the lowest sid that some fd refers
+   to, reported on its lowest fd; a ready connection no fd refers to yet
+   is skipped. *)
+let test_poll_order () =
+  let net, _ = mk () in
+  let listen port =
+    let fd = Net.socket net Net.Tcp in
+    Net.bind net fd port;
+    Net.listen net fd;
+    fd
+  in
+  let l21 = listen 21 and l80 = listen 80 in
+  let early = Option.get (Net.connect_peer net ~port:21) in
+  let late = Option.get (Net.connect_peer net ~port:80) in
+  let expect what ev = Alcotest.(check bool) what true (Net.poll net = ev) in
+  expect "lowest listener first" (Some (`Accept l21));
+  let c80 = Net.accept net l80 in
+  Net.send_peer net early (b "x");
+  Net.send_peer net late (b "y");
+  expect "listener below the readable connection" (Some (`Accept l21));
+  Net.close net l21;
+  (* [early] is orphaned: ready, lower sid than [late], but fd-less. *)
+  expect "fd-less socket skipped" (Some (`Read c80));
+  let hi = Net.dup net c80 in
+  Net.close net c80;
+  expect "reported on a remaining fd" (Some (`Read hi));
+  ignore (Net.dup net hi);
+  expect "lowest fd of the socket" (Some (`Read hi));
+  ignore (Net.recv net hi ~max:8);
+  expect "nothing left that an fd reaches" None
+
+(* Golden trace: a fixed-seed walk of 20,000 random operations over the
+   public API, with aux-state captures and restores at random points.
+   Every observable result is folded into one digest: poll order, fd and
+   flow numbering, received and sent bytes, the captured images' sizes
+   and fuzzy hashes, and what each restore brings back. The digest was
+   recorded before poll and restore were rewritten. *)
+let golden_trace () =
+  let module Rng = Nyx_sim.Rng in
+  let rng = Rng.create 20_211 in
+  let clock = Nyx_sim.Clock.create () in
+  let net = Net.create clock in
+  let aux = Nyx_snapshot.Aux_state.create () in
+  Net.register_aux net aux;
+  let out = Buffer.create (1 lsl 20) in
+  let note fmt = Printf.bprintf out fmt in
+  let fds = ref [] and flows = ref [] and caps = ref [] in
+  let top_fd = ref 3 and top_flow = ref 1 in
+  let ports = [| 21; 80; 5060; 9000 |] in
+  let options = [| "SO_REUSEADDR"; "TCP_NODELAY"; "SO_RCVBUF" |] in
+  (* Mostly a recent handle; sometimes any number issued so far, so old
+     listeners get closed and their backlogs orphaned. *)
+  let some_fd () =
+    if !fds = [] || Rng.int rng 4 = 0 then Rng.int rng (!top_fd + 2)
+    else Rng.choose_list rng !fds
+  in
+  let some_flow () =
+    if !flows = [] || Rng.int rng 4 = 0 then Rng.int rng (!top_flow + 2)
+    else Rng.choose_list rng !flows
+  in
+  let keep x l = List.filteri (fun i _ -> i < 12) (x :: l) in
+  let add_fd fd =
+    top_fd := max !top_fd fd;
+    fds := keep fd !fds
+  in
+  let add_flow = function
+    | Some fl ->
+      top_flow := max !top_flow fl;
+      flows := keep fl !flows
+    | None -> ()
+  in
+  let payload () = Rng.bytes rng (Rng.int rng 12) in
+  let note_bytes tag data = note "%s %S\n" tag (Bytes.to_string data) in
+  let flow_opt = function Some fl -> string_of_int fl | None -> "-" in
+  let guard tag f =
+    try f () with
+    | Net.Would_block fd -> note "%s would-block %d\n" tag fd
+    | Net.Bad_fd fd -> note "%s bad-fd %d\n" tag fd
+    | Invalid_argument m -> note "%s invalid %s\n" tag m
+  in
+  let poll_and_serve () =
+    match Net.poll net with
+    | None -> note "poll none\n"
+    | Some (`Accept fd) ->
+      note "poll accept %d\n" fd;
+      if Rng.int rng 4 > 0 then begin
+        let cfd = Net.accept net fd in
+        note "accepted %d\n" cfd;
+        add_fd cfd
+      end
+    | Some (`Read fd) -> (
+      note "poll read %d\n" fd;
+      match Rng.int rng 3 with
+      | 0 -> note_bytes "recv" (Net.recv net fd ~max:(1 + Rng.int rng 16))
+      | 1 ->
+        let data, fl = Net.recvfrom net fd ~max:(1 + Rng.int rng 16) in
+        note_bytes (Printf.sprintf "recvfrom %d" fl) data
+      | _ -> ())
+  in
+  for _ = 1 to 20_000 do
+    match Rng.int rng 20 with
+    | 0 ->
+      guard "socket" (fun () ->
+          let proto = Rng.choose rng [| Net.Tcp; Net.Udp; Net.Unix_sock |] in
+          let fd = Net.socket net proto in
+          note "socket %d\n" fd;
+          add_fd fd;
+          Net.bind net fd (Rng.choose rng ports);
+          if proto <> Net.Udp then Net.listen net fd)
+    | 1 ->
+      let fl = Net.connect_peer net ~port:(Rng.choose rng ports) in
+      note "connect %s\n" (flow_opt fl);
+      add_flow fl
+    | 2 | 3 -> guard "send_peer" (fun () -> Net.send_peer net (some_flow ()) (payload ()))
+    | 4 ->
+      let flow = if Rng.bool rng then Some (some_flow ()) else None in
+      let fl = Net.udp_send_peer net ~port:(Rng.choose rng ports) ?flow (payload ()) in
+      note "udp %s\n" (flow_opt fl);
+      add_flow fl
+    | 5 -> guard "close_peer" (fun () -> Net.close_peer net (some_flow ()))
+    | 6 | 7 | 8 -> guard "poll" poll_and_serve
+    | 9 ->
+      guard "recv" (fun () ->
+          note_bytes "recv" (Net.recv net (some_fd ()) ~max:(1 + Rng.int rng 16)))
+    | 10 ->
+      guard "peek" (fun () ->
+          note_bytes "peek" (Net.peek net (some_fd ()) ~max:(1 + Rng.int rng 16)))
+    | 11 ->
+      guard "send" (fun () ->
+          let fd = some_fd () in
+          let n =
+            if Rng.bool rng then Net.send net fd (payload ())
+            else Net.sendto net fd (some_flow ()) (payload ())
+          in
+          note "sent %d\n" n)
+    | 12 -> guard "close" (fun () -> Net.close net (some_fd ()))
+    | 13 ->
+      guard "dup" (fun () ->
+          let fd = Net.dup net (some_fd ()) in
+          note "dup %d\n" fd;
+          add_fd fd)
+    | 14 ->
+      guard "shutdown" (fun () ->
+          Net.shutdown net (some_fd ()) (Rng.choose rng [| `Read; `Write; `Both |]))
+    | 15 ->
+      guard "responses" (fun () ->
+          let fl = some_flow () in
+          List.iter (note_bytes (Printf.sprintf "response %d" fl)) (Net.responses net fl))
+    | 16 ->
+      let cap = Nyx_snapshot.Aux_state.capture aux clock in
+      note "capture %d %d\n"
+        (Nyx_snapshot.Aux_state.size_bytes cap)
+        (Nyx_snapshot.Aux_state.fuzzy_hash cap);
+      caps := List.filteri (fun i _ -> i < 3) (cap :: !caps)
+    | 17 ->
+      if !caps <> [] then begin
+        Nyx_snapshot.Aux_state.restore aux clock (Rng.choose_list rng !caps);
+        note "restore %d %d\n" (Net.open_socket_count net) (Net.syscall_count net)
+      end
+    | 18 ->
+      if Rng.int rng 8 = 0 then note "fork %d\n" (Net.fork net)
+      else
+        guard "connect_out" (fun () ->
+            let fl = Net.connect_out net (some_fd ()) ~port:(Rng.choose rng ports) in
+            note "connect_out %d\n" fl;
+            add_flow (Some fl))
+    | _ ->
+      guard "options" (fun () ->
+          let fd = some_fd () and name = Rng.choose rng options in
+          if Rng.bool rng then Net.setsockopt net fd name (Rng.int rng 4)
+          else
+            note "opt %d %s %d %s\n" (Net.getsockopt net fd name)
+              (flow_opt (Net.getpeername net fd))
+              (Net.getsockname net fd) name)
+  done;
+  List.iter (fun (p, _) -> note "listening %d\n" p) (Net.listening_ports net);
+  List.iter (note "outbound %d\n") (Net.outbound_flows net);
+  note "clock %d sockets %d syscalls %d\n" (Nyx_sim.Clock.now_ns clock) (Net.open_socket_count net)
+    (Net.syscall_count net);
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let test_golden_trace () =
+  check_str "trace digest" "c43bb2a151b98f2e04526b5e6ad2ac73" (golden_trace ())
+
 (* domain-safe: qcheck property closure, run on a single domain *)
 let prop_boundary_sequence =
   QCheck.Test.make ~name:"packet sequence is received intact and in order" ~count:100
@@ -316,5 +500,7 @@ let () =
           Alcotest.test_case "listening ports" `Quick test_listening_ports;
           Alcotest.test_case "backend costs" `Quick test_costs_differ_by_backend;
           Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
+          Alcotest.test_case "poll order" `Quick test_poll_order;
+          Alcotest.test_case "golden trace" `Quick test_golden_trace;
         ] );
     ]

@@ -19,8 +19,10 @@ let aux_with state =
   Nyx_snapshot.Aux_state.register t
     {
       Nyx_snapshot.Aux_state.name = "conn";
-      save = (fun () -> Bytes.of_string !state);
-      load = (fun b -> state := Bytes.to_string b);
+      save =
+        (fun () ->
+          let s = !state in
+          (Bytes.of_string s, fun () -> state := s));
     };
   t
 

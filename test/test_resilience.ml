@@ -283,8 +283,10 @@ let test_dirty_loss_latent () =
 let handler name cell =
   {
     Nyx_snapshot.Aux_state.name;
-    save = (fun () -> b (string_of_int !cell));
-    load = (fun bts -> cell := int_of_string (Bytes.to_string bts));
+    save =
+      (fun () ->
+        let v = !cell in
+        (b (string_of_int v), fun () -> cell := v));
   }
 
 let test_aux_restore_rejections () =

@@ -29,8 +29,10 @@ let test_aux_roundtrip () =
   Aux_state.register reg
     {
       Aux_state.name = "counter";
-      save = (fun () -> Bytes.of_string (string_of_int !value));
-      load = (fun bts -> value := int_of_string (Bytes.to_string bts));
+      save =
+        (fun () ->
+          let v = !value in
+          (Bytes.of_string (string_of_int v), fun () -> value := v));
     };
   let clock = Nyx_sim.Clock.create () in
   let cap = Aux_state.capture reg clock in
@@ -44,10 +46,13 @@ let test_aux_handler_mismatch () =
   let clock = Nyx_sim.Clock.create () in
   let cap = Aux_state.capture reg clock in
   Aux_state.register reg
-    { Aux_state.name = "late"; save = (fun () -> Bytes.empty); load = ignore };
+    { Aux_state.name = "late"; save = (fun () -> (Bytes.empty, ignore)) };
   Alcotest.check_raises "changed registry"
     (Invalid_argument "Aux_state.restore: handler set changed since capture")
-    (fun () -> Aux_state.restore reg clock cap)
+    (fun () -> Aux_state.restore reg clock cap);
+  Alcotest.check_raises "hash capture"
+    (Invalid_argument "Aux_state.restore: a hash capture cannot be restored")
+    (fun () -> Aux_state.restore reg clock (Aux_state.hash_capture reg clock))
 
 (* Root snapshot *)
 
