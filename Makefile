@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
+.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
 
 all: check
 
@@ -26,8 +26,9 @@ lint:
 # verifier's facts at runtime; --force because dune does not track env
 # vars), both smoke benches asserted crash-free under NYX_DOMAINS=4
 # (hotpath additionally fails if the before/after gears diverge or the
-# speedup drops below 2x), the static-vs-dynamic conformance gate and
-# the host-time benchmark's output checks.
+# speedup drops below 2x), the static-vs-dynamic conformance gate, the
+# CLI's checkpoint resume and NYX_FAULTS handling, and the host-time
+# benchmark's output checks.
 check:
 	dune build @all && dune runtest
 	$(MAKE) lint
@@ -39,6 +40,8 @@ check:
 	$(MAKE) bench-peer
 	$(MAKE) faultcheck
 	$(MAKE) statecheck
+	$(MAKE) resume-smoke
+	$(MAKE) faults-env-smoke
 	$(MAKE) perfbench-check
 
 # Fault-injection smoke campaign (lib/resilience): runs a full campaign
@@ -59,6 +62,35 @@ faultcheck:
 statecheck:
 	dune build @all
 	dune exec bench/main.exe -- statecheck
+
+# The CLI resumes its own checkpoint to the same result: a dynamic,
+# typed-engine, peer-mode campaign with every encoder fault armed writes
+# a checkpoint (policy, snapshot-engine, mutation, peer and fault-plan
+# state) at about 4 of its 6 virtual seconds; `resume` on that file must
+# print exactly what the straight run printed.
+RESUME_SMOKE = fuzz lightftp -p dynamic --engine typed --mode peer --peer-faults all:0.5 -b 6 -s 7
+
+resume-smoke:
+	dune build @all
+	T=$$(mktemp -d) && trap 'rm -rf "$$T"' EXIT && \
+	dune exec bin/nyx_net_fuzz.exe -- $(RESUME_SMOKE) --checkpoint $$T/ckpt --checkpoint-interval 4 > $$T/straight.out && \
+	dune exec bin/nyx_net_fuzz.exe -- resume lightftp $$T/ckpt > $$T/resumed.out && \
+	diff $$T/straight.out $$T/resumed.out
+
+# The CLI's `fuzz` reads NYX_FAULTS as the default of --faults (library
+# campaigns never read it): a malformed value must fail the run rather
+# than let it go silently fault-free, a valid one must arm the plan, the
+# flag must win over the variable, and baseline fuzzers must ignore it.
+FUZZ = dune exec bin/nyx_net_fuzz.exe -- fuzz echo -b 1
+
+faults-env-smoke:
+	dune build @all
+	T=$$(mktemp -d) && trap 'rm -rf "$$T"' EXIT && \
+	if NYX_FAULTS=nonsense $(FUZZ) > $$T/out 2> $$T/err; then echo "malformed NYX_FAULTS accepted"; exit 1; fi && \
+	{ grep -q 'bad NYX_FAULTS spec' $$T/err || { cat $$T/err; echo "no NYX_FAULTS error"; exit 1; }; } && \
+	{ NYX_FAULTS=wedge:0.5 $(FUZZ) | grep -q '^faults:' || { echo "NYX_FAULTS did not arm the plan"; exit 1; }; } && \
+	{ NYX_FAULTS=nonsense $(FUZZ) --faults wedge:0.5 | grep -q '^faults:' || { echo "--faults did not override NYX_FAULTS"; exit 1; }; } && \
+	{ NYX_FAULTS=nonsense $(FUZZ) -f aflnet > /dev/null || { echo "a baseline read NYX_FAULTS"; exit 1; }; }
 
 # Output checks of the host-time benchmark (perfbench/): crash replay,
 # same-seed passes, checkpoint round-trips, traced == untraced, fleets

@@ -136,7 +136,8 @@ let save_crashes dir (r : Nyx_core.Report.campaign_result) =
 let faults_arg =
   let doc =
     "Deterministic fault-injection spec, e.g. $(b,all:0.01) or \
-     $(b,restore-fail:0.05,wedge:0.001) (overrides NYX_FAULTS)."
+     $(b,restore-fail:0.05,wedge:0.001). Defaults to $(b,NYX_FAULTS) when \
+     that is set and non-empty."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)
 
@@ -191,12 +192,21 @@ let parse_mutator_weights = function
       (fun m -> `Msg ("bad --mutator-weights: " ^ m))
       (Nyx_core.Engines.parse_weights s)
 
-let parse_faults = function
-  | None -> Ok None
-  | Some spec ->
+(* --faults wins; NYX_FAULTS is its default, read only for nyx
+   campaigns (baseline fuzzers inject no faults). *)
+let parse_faults ~nyx flag =
+  let parse what spec =
     Result.map_error
-      (fun m -> `Msg ("bad --faults spec: " ^ m))
+      (fun m -> `Msg (what ^ m))
       (Result.map Option.some (Nyx_resilience.Plan.parse_spec spec))
+  in
+  match flag with
+  | Some spec -> parse "bad --faults spec: " spec
+  | None when not nyx -> Ok None
+  | None -> (
+    match Sys.getenv_opt "NYX_FAULTS" with
+    | None | Some "" -> Ok None
+    | Some spec -> parse "bad NYX_FAULTS spec: " spec)
 
 (* Resolve --mode/--peer-faults into the optional peer script + encoder
    fault spec Campaign.run expects. *)
@@ -245,7 +255,7 @@ let fuzz_cmd =
     let result =
       let* entry = lookup_target target in
       let* seeds = load_seeds entry seeds_file in
-      let* faults = parse_faults faults in
+      let* faults = parse_faults ~nyx:(fuzzer = "nyx") faults in
       let* peer, peer_fault_spec = parse_peer ~target ~mode ~peer_faults in
       let budget_ns = int_of_float (budget *. 1e9) in
       if fuzzer = "nyx" then begin
@@ -272,9 +282,7 @@ let fuzz_cmd =
             ?checkpoint:(make_checkpointing ck_path ck_interval) cfg entry
         with
         | r -> Ok (Some r)
-        | exception Invalid_argument m ->
-          (* e.g. a malformed NYX_FAULTS spec from the environment *)
-          Error (`Msg m)
+        | exception Invalid_argument m -> Error (`Msg m)
       end
       else if peer <> None then
         Error (`Msg "--mode peer is nyx-only (baseline fuzzers mutate raw bytes)")

@@ -250,6 +250,9 @@ let triage st (result : Report.exec_result) stored =
    reset anyway, so the campaign reduces to the fields below. *)
 let capture st : Checkpoint.t =
   let cfg = st.cfg in
+  let samples timeline =
+    List.map (fun (t, v) -> (t, Int64.bits_of_float v)) (Nyx_sim.Stats.Timeline.samples timeline)
+  in
   {
     Checkpoint.c_policy = Policy.name cfg.policy;
     c_budget_ns = cfg.budget_ns;
@@ -260,13 +263,14 @@ let capture st : Checkpoint.t =
     c_trim = cfg.trim;
     c_sample_interval_ns = cfg.sample_interval_ns;
     c_target = Executor.target_name st.exec;
+    c_mut_engine = Engines.name cfg.engine;
+    c_mut_weights = List.map (fun (n, w) -> (n, Int64.bits_of_float w)) cfg.mutator_weights;
     c_clock_ns = now st;
     c_execs = st.execs;
     c_last_sample = st.last_sample;
     c_solved_ns = st.solved_ns;
     c_sched_rng = Nyx_sim.Rng.state st.rng;
     c_mut_rng = Nyx_sim.Rng.state st.mut_rng;
-    c_policy_state = Policy.checkpoint_state st.policy;
     c_corpus =
       (* entries are newest first; rev_map flips to oldest first so ids
          re-assign to their original values on resume. *)
@@ -280,10 +284,8 @@ let capture st : Checkpoint.t =
           })
         (Corpus.entries st.corpus);
     c_virgin = Coverage.Cumulative.state_bytes st.cumulative;
-    c_timeline =
-      List.map
-        (fun (t, v) -> (t, Int64.bits_of_float v))
-        (Nyx_sim.Stats.Timeline.samples st.timeline);
+    c_timeline = samples st.timeline;
+    c_exec_timeline = samples st.exec_timeline;
     c_crashes =
       List.map
         (fun (c : Report.crash_report) ->
@@ -295,27 +297,19 @@ let capture st : Checkpoint.t =
             cr_input = c.Report.input;
           })
         st.crashes;
-    c_engine = Executor.engine_checkpoint st.exec;
     c_dict = st.dict;
     c_max_ops = st.max_ops;
-    c_exec_timeline =
-      List.map
-        (fun (t, v) -> (t, Int64.bits_of_float v))
-        (Nyx_sim.Stats.Timeline.samples st.exec_timeline);
-    c_mut_engine = Engines.name cfg.engine;
-    c_mut_weights =
-      List.map (fun (n, w) -> (n, Int64.bits_of_float w)) cfg.mutator_weights;
-    (* Valid at the loop top: no mutate→credit pair is in flight there,
-       so the per-mutator counters fully describe the engine. *)
-    c_mut_state = Nyx_spec.Mutation_engine.state st.engine;
     c_faults =
       Option.map
-        (fun p ->
-          (Nyx_resilience.Plan.spec_string p, Nyx_resilience.Plan.state p))
+        (fun p -> (Nyx_resilience.Plan.spec_string p, Nyx_resilience.Plan.state p))
         st.plan;
-    c_profile = Option.map Nyx_obs.Profile.state st.prof;
-    c_peer =
-      Option.map Nyx_peer.Peer_driver.state (Executor.peer_driver st.exec);
+    c_policy_state = Policy.save st.policy;
+    c_engine = Executor.save_engine st.exec;
+    (* Valid at the loop top: no mutate→credit pair is in flight there,
+       so the per-mutator counters fully describe the engine. *)
+    c_mut_state = Nyx_spec.Mutation_engine.save st.engine;
+    c_profile = Option.map Nyx_obs.Profile.save st.prof;
+    c_peer = Option.map Nyx_peer.Peer_driver.save (Executor.peer_driver st.exec);
   }
 
 (* The inverse of [capture]'s config fields: the config to re-boot a
@@ -343,20 +337,26 @@ let config_of_checkpoint (ckpt : Checkpoint.t) =
         ckpt.Checkpoint.c_mut_weights;
   }
 
+(* Load one component section, naming it in any rejection. *)
+let load_section name load data =
+  try load data with
+  | Nyx_sim.Wire.Corrupt m | Invalid_argument m ->
+    invalid_arg (Printf.sprintf "Campaign.resume: %s section: %s" name m)
+
 (* The inverse of [capture], field by field, applied to a state freshly
    booted from [config_of_checkpoint]. Boot drew the RNG chain from the
    seed; every RNG state restored here overwrites those draws. *)
 let restore ~spec st (ckpt : Checkpoint.t) =
   (match (ckpt.Checkpoint.c_peer, Executor.peer_driver st.exec) with
-  | Some s, Some d -> Nyx_peer.Peer_driver.restore_state d s
+  | Some s, Some d -> load_section "peer" (Nyx_peer.Peer_driver.load d) s
   | _ -> ());
   (match (st.prof, ckpt.Checkpoint.c_profile) with
-  | Some p, Some s -> Nyx_obs.Profile.restore_state p s
+  | Some p, Some s -> load_section "profile" (Nyx_obs.Profile.load p) s
   | _ -> ());
   Nyx_sim.Rng.set_state st.rng ckpt.Checkpoint.c_sched_rng;
-  Policy.restore_state st.policy ckpt.Checkpoint.c_policy_state;
+  load_section "policy" (Policy.load st.policy) ckpt.Checkpoint.c_policy_state;
   Nyx_sim.Rng.set_state st.mut_rng ckpt.Checkpoint.c_mut_rng;
-  Nyx_spec.Mutation_engine.restore_state st.engine ckpt.Checkpoint.c_mut_state;
+  load_section "mutation" (Nyx_spec.Mutation_engine.load st.engine) ckpt.Checkpoint.c_mut_state;
   st.plan <-
     Option.map
       (fun (spec_str, pstate) ->
@@ -406,7 +406,7 @@ let restore ~spec st (ckpt : Checkpoint.t) =
           input = c.Checkpoint.cr_input;
         })
       ckpt.Checkpoint.c_crashes;
-  Executor.engine_restore_checkpoint st.exec ckpt.Checkpoint.c_engine;
+  load_section "snapshot-engine" (Executor.load_engine st.exec) ckpt.Checkpoint.c_engine;
   (* Boot charged its costs onto the fresh clock; jump to the campaign's
      checkpointed virtual time, which already accounts for them. *)
   Nyx_sim.Clock.set_ns (Executor.clock st.exec) ckpt.Checkpoint.c_clock_ns;
@@ -659,14 +659,13 @@ let finish st ~wall_s =
     peer =
       Option.map
         (fun d ->
-          let s = Nyx_peer.Peer_driver.state d in
           {
-            Report.peer_actions = s.Nyx_peer.Peer_driver.pd_actions;
+            Report.peer_actions = Nyx_peer.Peer_driver.actions d;
             peer_fired = Nyx_peer.Peer_driver.fired_by_site d;
-            peer_desyncs = s.Nyx_peer.Peer_driver.pd_desyncs;
-            peer_restarts = s.Nyx_peer.Peer_driver.pd_restarts;
-            peer_quarantines = s.Nyx_peer.Peer_driver.pd_quarantines;
-            peer_backoff_ns = s.Nyx_peer.Peer_driver.pd_backoff_ns;
+            peer_desyncs = Nyx_peer.Peer_driver.desyncs d;
+            peer_restarts = Nyx_peer.Peer_driver.restarts d;
+            peer_quarantines = Nyx_peer.Peer_driver.quarantines d;
+            peer_backoff_ns = Nyx_peer.Peer_driver.backoff_ns d;
           })
         (Executor.peer_driver st.exec);
   }
@@ -769,16 +768,13 @@ let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
     boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry
   in
   let st = inst.st in
-  (* Fault plan: [~faults] wins, else NYX_FAULTS; [~peer_faults] items
-     (peer encoder sites) are appended. Its rng split happens ONLY when a
-     plan with at least one non-zero rate is armed, so fault-free runs —
-     including peer campaigns with every peer rate at zero — keep the
-     historical draw sequence (golden results stay byte-identical). *)
+  (* Fault plan: [~faults] plus the [~peer_faults] items (peer encoder
+     sites). Its rng split happens ONLY when a plan with at least one
+     non-zero rate is armed, so fault-free runs — including peer
+     campaigns with every peer rate at zero — keep the historical draw
+     sequence (golden results stay byte-identical). *)
   let merged =
-    let base =
-      match faults with Some _ -> faults | None -> Nyx_resilience.Plan.of_env ()
-    in
-    match (base, peer_faults) with
+    match (faults, peer_faults) with
     | None, sp | sp, None -> sp
     | Some a, Some b -> Some (a @ b)
   in

@@ -91,9 +91,10 @@ val run :
     virtual-time breakdown. Profiling is observational: every other
     result field is bit-identical with it on or off.
 
-    [faults] arms a deterministic fault-injection plan (overriding the
-    [NYX_FAULTS] environment variable, which is consulted otherwise —
-    see {!Nyx_resilience.Plan.of_env}). The plan's RNG is split from the
+    [faults] arms a deterministic fault-injection plan. Only [faults]
+    and [peer_faults] arm one: the library reads no environment variable
+    for it (the CLI's [fuzz] takes [NYX_FAULTS] as the default of
+    [--faults]). The plan's RNG is split from the
     campaign RNG only when a plan is armed, so fault-free runs keep the
     historical draw sequence and golden results stay byte-identical.
     When armed, the result's [resilience] block reports injected /
@@ -124,7 +125,9 @@ val resume :
     restored, so resumers never pass a peer flag.
 
     @raise Invalid_argument if the checkpoint's target does not match
-    [entry], or the checkpoint stores an unknown policy/fault spec. *)
+    [entry], the checkpoint stores an unknown policy/fault spec, or a
+    component section is rejected (the message names the section:
+    policy, snapshot-engine, mutation, profile or peer). *)
 
 (** {2 Stepped instances (fleet corpus sync)}
 

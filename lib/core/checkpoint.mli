@@ -9,8 +9,15 @@
     (modulo the informational wall-clock fields —
     {!Report.same_deterministic}).
 
-    Files start with the magic ["NYXCKP1"], use flat big-endian int64
-    framing throughout, and are written atomically (tmp + rename via
+    The campaign's own state is typed below. Each component's state is a
+    section written and read by its owner ({!Policy.save},
+    {!Nyx_snapshot.Engine.save}, {!Nyx_spec.Mutation_engine.save},
+    {!Nyx_obs.Profile.save}, {!Nyx_peer.Peer_driver.save}) and stored
+    here as opaque bytes.
+
+    Files start with the magic ["NYXCKP2"], use {!Nyx_sim.Wire}'s checked
+    big-endian framing throughout (sections last, in a fixed order, each
+    length-prefixed), and are written atomically (tmp + rename via
     {!Nyx_resilience.Atomic_io}) so a crash mid-write never corrupts the
     previous checkpoint. *)
 
@@ -39,69 +46,38 @@ type t = {
   c_trim : bool;
   c_sample_interval_ns : int;
   c_target : string;
+  c_mut_engine : string;  (** {!Engines.name} form *)
+  c_mut_weights : (string * int64) list;
+      (** per-mutator base-weight overrides; weights as float bits *)
   c_clock_ns : int;
   c_execs : int;
   c_last_sample : int;
   c_solved_ns : int option;
   c_sched_rng : int64;
   c_mut_rng : int64;
-  c_policy_state : Policy.state;
   c_corpus : corpus_entry list;  (** oldest first: ids re-assign in order *)
   c_virgin : bytes;  (** cumulative coverage map *)
   c_timeline : (int * int64) list;  (** oldest first; values as float bits *)
-  c_crashes : crash list;  (** newest first, as the campaign stores them *)
-  c_engine : Nyx_snapshot.Engine.persisted;
-  c_dict : bytes list;
-  c_max_ops : int;
   c_exec_timeline : (int * int64) list;
       (** execs-keyed coverage timeline, oldest first; values float bits *)
-  c_mut_engine : string;  (** {!Engines.name} form *)
-  c_mut_weights : (string * int64) list;
-      (** per-mutator base-weight overrides; weights as float bits *)
-  c_mut_state : Nyx_spec.Mutation_engine.state;
-      (** per-mutator counters and EWMA credit, engine order *)
+  c_crashes : crash list;  (** newest first, as the campaign stores them *)
+  c_dict : bytes list;
+  c_max_ops : int;
   c_faults : (string * Nyx_resilience.Plan.state) option;
       (** canonical fault spec + plan state, when a plan was armed *)
-  c_profile : Nyx_obs.Profile.state option;
-  c_peer : Nyx_peer.Peer_driver.state option;
-      (** cooperating-peer counters, for [--mode peer] campaigns *)
+  c_policy_state : bytes;  (** {!Policy.save} section *)
+  c_engine : bytes;  (** {!Nyx_snapshot.Engine.save} section *)
+  c_mut_state : bytes;  (** {!Nyx_spec.Mutation_engine.save} section *)
+  c_profile : bytes option;  (** {!Nyx_obs.Profile.save} section, when profiled *)
+  c_peer : bytes option;
+      (** {!Nyx_peer.Peer_driver.save} section, for [--mode peer] campaigns *)
 }
 
 val encode : t -> bytes
+
 val decode : bytes -> t
-(** @raise Corrupt on malformed input. *)
-
-exception Corrupt of string
-
-(** {2 Wire framing}
-
-    The primitives NYXCKP1 is written with, shared with the fleet's
-    NYXFLT1 files ({!Fleet.checkpointing}). Readers check every length and
-    element count against the bytes left, so malformed input raises
-    {!Corrupt} and never makes a reader allocate for more elements than
-    the input has bytes. *)
-
-val add_int : Buffer.t -> int -> unit
-(** One big-endian int64. *)
-
-val add_bytes : Buffer.t -> bytes -> unit
-(** Length-prefixed bytes. *)
-
-val add_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
-(** Count-prefixed elements. *)
-
-type cursor
-
-val cursor : magic:string -> bytes -> cursor
-(** A reader positioned after [magic]. @raise Corrupt if the input does
-    not start with it. *)
-
-val get_int : cursor -> int
-val get_bytes : cursor -> bytes
-val get_list : (cursor -> 'a) -> cursor -> 'a list
-
-val expect_end : cursor -> unit
-(** @raise Corrupt unless the whole input has been read. *)
+(** @raise Nyx_sim.Wire.Corrupt on malformed input, naming the version
+    when the input is another version of the format. *)
 
 val save : string -> t -> (unit, string) result
 (** Atomic write (tmp + rename). *)

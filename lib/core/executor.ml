@@ -89,8 +89,8 @@ let arm_faults t plan =
 let peer_driver t = t.peer
 let faults t = Nyx_vm.Vm.faults (Nyx_snapshot.Engine.vm t.engine)
 
-let engine_checkpoint t = Nyx_snapshot.Engine.checkpoint t.engine
-let engine_restore_checkpoint t p = Nyx_snapshot.Engine.restore_checkpoint t.engine p
+let save_engine t = Nyx_snapshot.Engine.save t.engine
+let load_engine t data = Nyx_snapshot.Engine.load t.engine data
 
 (* Guest wedge: the target stops responding for the whole hang budget.
    The per-execution snapshot reset unconditionally clears a wedge, so it

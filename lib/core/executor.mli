@@ -74,8 +74,10 @@ val peer_driver : t -> Nyx_peer.Peer_driver.t option
 
 (** {2 Campaign checkpointing} *)
 
-val engine_checkpoint : t -> Nyx_snapshot.Engine.persisted
-val engine_restore_checkpoint : t -> Nyx_snapshot.Engine.persisted -> unit
+val save_engine : t -> bytes
+val load_engine : t -> bytes -> unit
+(** The snapshot engine's checkpoint section ({!Nyx_snapshot.Engine.save},
+    {!Nyx_snapshot.Engine.load}). *)
 
 val status_of_run : (unit -> unit) -> Report.status
 (** Run a thunk, mapping the crash exceptions every executor must handle

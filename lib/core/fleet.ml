@@ -51,13 +51,6 @@ type outcome = {
   makespan_ns : int;
 }
 
-(* Mirror of Pool.resolve: the worker count the pool will actually use,
-   needed up front for the makespan model and the outcome report. *)
-let resolved_domains = function
-  | Some d when d >= 1 -> min d Pool.max_domains
-  | Some _ -> 1
-  | None -> Pool.default_domains ()
-
 (* Simulated fleet makespan: greedy list-scheduling of per-instance
    virtual-time segments onto [workers] identical workers (longest-
    processing-time order is NOT used — segments arrive in instance order,
@@ -263,15 +256,17 @@ type sync_state = {
   sync_import : bool;
 }
 
-(* Fleet checkpoint codec: magic + Checkpoint's big-endian int64
+(* Fleet checkpoint codec: magic + Nyx_sim.Wire's big-endian int64
    framing, one embedded Campaign checkpoint per live slot, written
    atomically. *)
 
-let fleet_magic = "NYXFLT1"
+module Wire = Nyx_sim.Wire
+
+let fleet_magic = "NYXFLT2"
 
 let encode_fleet st : bytes =
   let b = Buffer.create 262_144 in
-  let put = Checkpoint.add_int b in
+  let put = Wire.add_int b in
   Buffer.add_string b fleet_magic;
   put st.sync_ns;
   put (if st.sync_import then 1 else 0);
@@ -279,10 +274,10 @@ let encode_fleet st : bytes =
   put st.acc.work_ns;
   put st.acc.makespan_ns;
   put st.acc.ck_ordinal;
-  Checkpoint.add_bytes b (Coverage.Cumulative.state_bytes st.union);
-  Checkpoint.add_list
+  Wire.add_bytes b (Coverage.Cumulative.state_bytes st.union);
+  Wire.add_list
     (fun b r ->
-      List.iter (Checkpoint.add_int b)
+      List.iter (Wire.add_int b)
         [
           r.se_epoch;
           r.se_at_ns;
@@ -293,14 +288,14 @@ let encode_fleet st : bytes =
           r.se_total_execs;
         ])
     b (List.rev st.acc.rows);
-  Checkpoint.add_list
+  Wire.add_list
     (fun b s ->
       match s.inst with
-      | None -> Checkpoint.add_int b 0
+      | None -> Wire.add_int b 0
       | Some i ->
-        Checkpoint.add_int b 1;
-        Checkpoint.add_int b s.prev_ns;
-        Checkpoint.add_bytes b (Checkpoint.encode (Campaign.checkpoint_now i)))
+        Wire.add_int b 1;
+        Wire.add_int b s.prev_ns;
+        Wire.add_bytes b (Checkpoint.encode (Campaign.checkpoint_now i)))
     b (Array.to_list st.slots);
   Buffer.to_bytes b
 
@@ -313,7 +308,7 @@ type decoded_fleet = {
 }
 
 let decode_row c =
-  let get () = Checkpoint.get_int c in
+  let get () = Wire.get_int c in
   let se_epoch = get () in
   let se_at_ns = get () in
   let se_exports = get () in
@@ -332,26 +327,26 @@ let decode_row c =
   }
 
 let decode_slot c =
-  if Checkpoint.get_int c = 0 then None
+  if Wire.get_int c = 0 then None
   else begin
-    let prev_ns = Checkpoint.get_int c in
-    Some (prev_ns, Checkpoint.decode (Checkpoint.get_bytes c))
+    let prev_ns = Wire.get_int c in
+    Some (prev_ns, Checkpoint.decode (Wire.get_bytes c))
   end
 
 let decode_fleet (buf : bytes) : (decoded_fleet, string) result =
   match
-    let c = Checkpoint.cursor ~magic:fleet_magic buf in
-    let get () = Checkpoint.get_int c in
+    let c = Wire.cursor ~magic:fleet_magic buf in
+    let get () = Wire.get_int c in
     let d_sync_ns = get () in
     let d_sync_import = get () <> 0 in
     let epoch = get () in
     let work_ns = get () in
     let makespan_ns = get () in
     let ck_ordinal = get () in
-    let d_virgin = Checkpoint.get_bytes c in
-    let rows = Checkpoint.get_list decode_row c in
-    let d_slots = Array.of_list (Checkpoint.get_list decode_slot c) in
-    Checkpoint.expect_end c;
+    let d_virgin = Wire.get_bytes c in
+    let rows = Wire.get_list decode_row c in
+    let d_slots = Array.of_list (Wire.get_list decode_slot c) in
+    Wire.expect_end c;
     {
       d_sync_ns;
       d_sync_import;
@@ -362,7 +357,7 @@ let decode_fleet (buf : bytes) : (decoded_fleet, string) result =
     }
   with
   | d -> Ok d
-  | exception Checkpoint.Corrupt m -> Error ("fleet checkpoint: " ^ m)
+  | exception Wire.Corrupt m -> Error ("fleet checkpoint: " ^ m)
 
 let write_fleet_checkpoint st ck =
   match Nyx_resilience.Atomic_io.write_file ck.fc_path (encode_fleet st) with
@@ -605,7 +600,7 @@ let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
     ?peer_faults ?(profile = false) ?sync_ns ?(sync_import = true) ?batch
     ?checkpoint ~config entry =
   let t0 = Nyx_parallel.Wall.now_s () in
-  let workers = resolved_domains domains in
+  let workers = Pool.resolve domains in
   with_fleet_trace ~instances ~sync_ns entry (fun () ->
       match sync_ns with
       | None ->
@@ -639,7 +634,7 @@ let resume ?domains ?batch ?(profile = false) ?checkpoint ~path entry =
   with_fleet_trace ~instances ~sync_ns:(Some d.d_sync_ns) entry (fun () ->
       (* Surviving instances re-boot deterministically from their
          checkpoints, exactly like Campaign.resume. *)
-      run_sync ~instances ~workers:(resolved_domains domains) ~batch ~checkpoint
+      run_sync ~instances ~workers:(Pool.resolve domains) ~batch ~checkpoint
         ~union ~acc:d.d_acc ~sync_ns:d.d_sync_ns ~sync_import:d.d_sync_import t0
         ~boot:(fun i ->
           Option.map

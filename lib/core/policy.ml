@@ -305,93 +305,79 @@ let placement_stats t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint support: a policy is its rng state, the aggressive cursor
-   table and the dynamic per-entry table, each serialized sorted by input
-   id so the rendering is canonical whatever the tables' internal order. *)
+(* Checkpoint section: the rng state, the aggressive cursor table and
+   the dynamic per-entry table, both tables sorted by input id so the
+   rendering is canonical whatever their internal order. Candidates and
+   their staleness are written as pairs, so a loaded table keeps the two
+   arrays the same length. *)
 
-type dyn_state = {
-  ds_id : int;
-  ds_cands : int list;
-  ds_stale : int list;
-  ds_root_stale : int;
-  ds_genuine : int;
-  ds_probed : bool;
-  ds_full_ns : int;
-  ds_setup_ns : int;
-  ds_round_ns : int;
-  ds_pages : int;
-  ds_meas_idx : int;
-  ds_cur : int;
-  ds_cooldown : int;
-  ds_moves : int;
-}
+open Nyx_sim.Wire
 
-type state = {
-  st_rng : int64;
-  st_cursor : (int * int) list;
-  st_dyn : dyn_state list;
-  st_probes : int;
-  st_probe_hashes : int;
-  st_probe_skipped : int;
-}
+let by_id tbl = List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.to_seq tbl |> List.of_seq)
 
-let checkpoint_state t =
-  {
-    st_rng = Nyx_sim.Rng.state t.rng;
-    st_cursor =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cursor []);
-    st_dyn =
-      List.sort compare
-        (Hashtbl.fold
-           (fun id d acc ->
-             {
-               ds_id = id;
-               ds_cands = Array.to_list d.db_cands;
-               ds_stale = Array.to_list d.db_stale;
-               ds_root_stale = d.db_root_stale;
-               ds_genuine = d.db_genuine;
-               ds_probed = d.db_probed;
-               ds_full_ns = d.db_full_ns;
-               ds_setup_ns = d.db_setup_ns;
-               ds_round_ns = d.db_round_ns;
-               ds_pages = d.db_pages;
-               ds_meas_idx = d.db_meas_idx;
-               ds_cur = d.db_cur;
-               ds_cooldown = d.db_cooldown;
-               ds_moves = d.db_moves;
-             }
-             :: acc)
-           t.dyn []);
-    st_probes = t.probes;
-    st_probe_hashes = t.probe_hashes;
-    st_probe_skipped = t.probe_skipped;
-  }
+let add_pair b (x, y) =
+  add_int b x;
+  add_int b y
 
-let restore_state t s =
-  Nyx_sim.Rng.set_state t.rng s.st_rng;
+let get_pair c =
+  let x = get_int c in
+  (x, get_int c)
+
+let add_dyn b (id, d) =
+  add_int b id;
+  add_list add_pair b (List.combine (Array.to_list d.db_cands) (Array.to_list d.db_stale));
+  add_int b d.db_root_stale;
+  add_int b d.db_genuine;
+  add_bool b d.db_probed;
+  List.iter (add_int b)
+    [ d.db_full_ns; d.db_setup_ns; d.db_round_ns; d.db_pages; d.db_meas_idx; d.db_cur;
+      d.db_cooldown; d.db_moves ]
+
+let get_dyn c =
+  let id = get_int c in
+  let cands = get_list get_pair c in
+  let db_root_stale = get_int c in
+  let db_genuine = get_int c in
+  let db_probed = get_bool c in
+  let db_full_ns = get_int c in
+  let db_setup_ns = get_int c in
+  let db_round_ns = get_int c in
+  let db_pages = get_int c in
+  let db_meas_idx = get_int c in
+  let db_cur = get_int c in
+  let db_cooldown = get_int c in
+  let db_moves = get_int c in
+  ( id,
+    { db_cands = Array.of_list (List.map fst cands);
+      db_stale = Array.of_list (List.map snd cands);
+      db_root_stale; db_genuine; db_probed; db_full_ns; db_setup_ns; db_round_ns; db_pages;
+      db_meas_idx; db_cur; db_cooldown; db_moves } )
+
+let save t =
+  to_bytes (fun b ->
+      add_i64 b (Nyx_sim.Rng.state t.rng);
+      add_list add_pair b (by_id t.cursor);
+      add_list add_dyn b (by_id t.dyn);
+      List.iter (add_int b) [ t.probes; t.probe_hashes; t.probe_skipped ])
+
+let load t data =
+  let rng, cursor, dyn, probes, hashes, skipped =
+    of_bytes
+      (fun c ->
+        let rng = get_i64 c in
+        let cursor = get_list get_pair c in
+        let dyn = get_list get_dyn c in
+        let probes = get_int c in
+        let hashes = get_int c in
+        (rng, cursor, dyn, probes, hashes, get_int c))
+      data
+  in
+  Nyx_sim.Rng.set_state t.rng rng;
   Hashtbl.reset t.cursor;
-  List.iter (fun (k, v) -> Hashtbl.replace t.cursor k v) s.st_cursor;
+  List.iter (fun (k, v) -> Hashtbl.replace t.cursor k v) cursor;
   Hashtbl.reset t.dyn;
-  List.iter
-    (fun ds ->
-      Hashtbl.replace t.dyn ds.ds_id
-        {
-          db_cands = Array.of_list ds.ds_cands;
-          db_stale = Array.of_list ds.ds_stale;
-          db_root_stale = ds.ds_root_stale;
-          db_genuine = ds.ds_genuine;
-          db_probed = ds.ds_probed;
-          db_full_ns = ds.ds_full_ns;
-          db_setup_ns = ds.ds_setup_ns;
-          db_round_ns = ds.ds_round_ns;
-          db_pages = ds.ds_pages;
-          db_meas_idx = ds.ds_meas_idx;
-          db_cur = ds.ds_cur;
-          db_cooldown = ds.ds_cooldown;
-          db_moves = ds.ds_moves;
-        })
-    s.st_dyn;
-  t.probes <- s.st_probes;
-  t.probe_hashes <- s.st_probe_hashes;
-  t.probe_skipped <- s.st_probe_skipped;
+  List.iter (fun (id, d) -> Hashtbl.replace t.dyn id d) dyn;
+  t.probes <- probes;
+  t.probe_hashes <- hashes;
+  t.probe_skipped <- skipped;
   t.last_move <- None

@@ -107,34 +107,13 @@ val placement_stats : t -> Report.placement_stats option
 (** Dynamic only ([None] otherwise): probe/move/boundary counters and the
     current placement of every placed entry. *)
 
-(** {2 Checkpoint support} *)
+(** {2 Checkpoint section} *)
 
-type dyn_state = {
-  ds_id : int;
-  ds_cands : int list;
-  ds_stale : int list;
-  ds_root_stale : int;
-  ds_genuine : int;
-  ds_probed : bool;
-  ds_full_ns : int;
-  ds_setup_ns : int;
-  ds_round_ns : int;
-  ds_pages : int;
-  ds_meas_idx : int;
-  ds_cur : int;
-  ds_cooldown : int;
-  ds_moves : int;
-}
-(** One dynamic entry's adaptive state, all virtual-clock integers. *)
+val save : t -> bytes
+(** The policy's RNG state and its per-entry tables (aggressive cursors,
+    dynamic placement state). *)
 
-type state = {
-  st_rng : int64;  (** policy RNG state *)
-  st_cursor : (int * int) list;  (** aggressive cursor, sorted by input id *)
-  st_dyn : dyn_state list;  (** dynamic table, sorted by input id *)
-  st_probes : int;
-  st_probe_hashes : int;
-  st_probe_skipped : int;
-}
-
-val checkpoint_state : t -> state
-val restore_state : t -> state -> unit
+val load : t -> bytes -> unit
+(** Overwrite the policy with a {!save}d section; the policy is
+    unchanged when the section is rejected.
+    @raise Nyx_sim.Wire.Corrupt on a malformed section. *)

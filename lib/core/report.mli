@@ -102,7 +102,7 @@ type campaign_result = {
           [None] for baselines and unprofiled campaigns. *)
   resilience : resilience option;
       (** fault-injection and supervision counters; [Some] only when a
-          fault plan was armed ([NYX_FAULTS] / [~faults]) or a fleet
+          fault plan was armed ([~faults] / [~peer_faults]) or a fleet
           supervisor restarted the instance. [None] campaigns are
           byte-identical to pre-resilience results. *)
   placement : placement_stats option;

@@ -102,18 +102,17 @@ let with_override t phase f =
   t.override_ <- Some phase;
   Fun.protect ~finally:(fun () -> t.override_ <- saved) f
 
-(* Checkpoint support: the deterministic accumulators only. Wall-clock
-   columns are informational and restart from zero on resume. *)
+(* Checkpoint section: the deterministic accumulators only, counts then
+   virtual self-times, one int per phase. Wall-clock columns are
+   informational and restart from zero on resume. *)
 
-type state = { ps_counts : int array; ps_virt : int array }
+let save t =
+  Nyx_sim.Wire.(to_bytes (fun b -> Array.iter (add_int b) (Array.append t.counts t.virt)))
 
-let state t = { ps_counts = Array.copy t.counts; ps_virt = Array.copy t.virt }
-
-let restore_state t s =
-  if Array.length s.ps_counts <> num_phases || Array.length s.ps_virt <> num_phases
-  then invalid_arg "Profile.restore_state: phase arity mismatch";
-  Array.blit s.ps_counts 0 t.counts 0 num_phases;
-  Array.blit s.ps_virt 0 t.virt 0 num_phases
+let load t data =
+  let v = Nyx_sim.Wire.(of_bytes (fun c -> Array.init (2 * num_phases) (fun _ -> get_int c))) data in
+  Array.blit v 0 t.counts 0 num_phases;
+  Array.blit v num_phases t.virt 0 num_phases
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots.                                                          *)

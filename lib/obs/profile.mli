@@ -67,20 +67,17 @@ val with_override : t -> phase -> (unit -> 'a) -> 'a
     phase its site names — how trim charges its internal resets and
     executions to [Trim]. Restores the previous override on exit. *)
 
-(** {2 Checkpoint support} *)
+(** {2 Checkpoint section} *)
 
-type state = {
-  ps_counts : int array;  (** span counts per phase, declaration order *)
-  ps_virt : int array;  (** virtual self-time per phase *)
-}
-
-val state : t -> state
+val save : t -> bytes
 (** The deterministic accumulators (counts and virtual self-times).
     Wall-clock columns are informational and excluded. *)
 
-val restore_state : t -> state -> unit
-(** Overwrite the deterministic accumulators; wall-clock columns restart
-    from zero (a resumed campaign reports only post-resume wall time). *)
+val load : t -> bytes -> unit
+(** Overwrite the deterministic accumulators with a {!save}d section
+    (unchanged when it is rejected); wall-clock columns restart from zero
+    (a resumed campaign reports only post-resume wall time).
+    @raise Nyx_sim.Wire.Corrupt on a malformed section. *)
 
 (** {2 Snapshots} *)
 

@@ -40,6 +40,10 @@ val default_domains : unit -> int
 (** Worker count from [NYX_DOMAINS] (clamped to [max_domains]; unset or
     invalid falls back to {!recommended}; [1] means sequential). *)
 
+val resolve : int option -> int
+(** The worker count a pool asked for [?domains] runs: [Some n] clamped
+    to [\[1, max_domains\]], [None] is {!default_domains}. *)
+
 (** {1 Explicit pools} *)
 
 type t

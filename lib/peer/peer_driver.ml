@@ -274,34 +274,30 @@ let handler t ~send:_ (nt : Nyx_spec.Spec.node_ty) _inputs data =
 
 (* ------------------------------------------------------------------ *)
 
-type state = {
-  pd_actions : int;
-  pd_fired : int array;
-  pd_desyncs : int;
-  pd_restarts : int;
-  pd_quarantines : int;
-  pd_backoff_ns : int;
-}
+let actions t = t.n_actions
+let desyncs t = t.n_desyncs
+let restarts t = t.n_restarts
+let quarantines t = t.n_quarantines
+let backoff_ns t = t.backoff_ns
 
-let state t =
-  {
-    pd_actions = t.n_actions;
-    pd_fired = Array.copy t.fired;
-    pd_desyncs = t.n_desyncs;
-    pd_restarts = t.n_restarts;
-    pd_quarantines = t.n_quarantines;
-    pd_backoff_ns = t.backoff_ns;
-  }
+(* Checkpoint section: the cumulative counters, fired counts in peer
+   sites order. *)
 
-let restore_state t s =
-  if Array.length s.pd_fired <> num_peer_sites then
-    invalid_arg "Peer_driver.restore_state: fired-counter arity mismatch";
-  t.n_actions <- s.pd_actions;
-  Array.blit s.pd_fired 0 t.fired 0 num_peer_sites;
-  t.n_desyncs <- s.pd_desyncs;
-  t.n_restarts <- s.pd_restarts;
-  t.n_quarantines <- s.pd_quarantines;
-  t.backoff_ns <- s.pd_backoff_ns
+let save t =
+  Nyx_sim.Wire.(
+    to_bytes (fun b ->
+        add_int b t.n_actions;
+        Array.iter (add_int b) t.fired;
+        List.iter (add_int b) [ t.n_desyncs; t.n_restarts; t.n_quarantines; t.backoff_ns ]))
+
+let load t data =
+  let v = Nyx_sim.Wire.(of_bytes (fun c -> Array.init (num_peer_sites + 5) (fun _ -> get_int c))) data in
+  t.n_actions <- v.(0);
+  Array.blit v 1 t.fired 0 num_peer_sites;
+  t.n_desyncs <- v.(num_peer_sites + 1);
+  t.n_restarts <- v.(num_peer_sites + 2);
+  t.n_quarantines <- v.(num_peer_sites + 3);
+  t.backoff_ns <- v.(num_peer_sites + 4)
 
 let fired_by_site t =
   List.mapi (fun i s -> (Fault.site_name s, t.fired.(i))) Fault.peer_sites

@@ -57,23 +57,25 @@ val script : t -> Peer_script.t
 (** {2 Cumulative statistics and checkpointing}
 
     The counters below accumulate across executions (they are {e not}
-    snapshot state) and are the deterministic peer half of a campaign
+    snapshot state) and are the peer driver's section of a campaign
     checkpoint. *)
 
-type state = {
-  pd_actions : int;  (** peer actions executed *)
-  pd_fired : int array;  (** fired encoder faults per peer site,
-                             {!Nyx_resilience.Fault.peer_sites} order *)
-  pd_desyncs : int;
-  pd_restarts : int;
-  pd_quarantines : int;
-  pd_backoff_ns : int;  (** virtual time spent backing off *)
-}
+val actions : t -> int
+(** Peer actions executed. *)
 
-val state : t -> state
+val desyncs : t -> int
+val restarts : t -> int
+val quarantines : t -> int
 
-val restore_state : t -> state -> unit
-(** @raise Invalid_argument on a fired-counter arity mismatch. *)
+val backoff_ns : t -> int
+(** Virtual time spent backing off. *)
+
+val save : t -> bytes
+(** The counters as a checkpoint section. *)
+
+val load : t -> bytes -> unit
+(** Overwrite the counters with a {!save}d section (unchanged when it is
+    rejected). @raise Nyx_sim.Wire.Corrupt on a malformed section. *)
 
 val fired_by_site : t -> (string * int) list
 (** Site name to fired count, peer sites order. *)

@@ -181,64 +181,17 @@ let apply (fault : Fault.t) m =
       (Printf.sprintf "Peer_fault.apply: %s is not a peer site" (Fault.site_name site))
 
 (* ------------------------------------------------------------------ *)
-(* --peer-faults spec parsing: peer sites only, short names welcome. *)
+(* --peer-faults spec parsing: Plan's grammar over the peer sites, short
+   names welcome. *)
 
-let short_names =
-  [
-    ("flip", Fault.Peer_flip);
-    ("truncate", Fault.Peer_truncate);
-    ("duplicate", Fault.Peer_duplicate);
-    ("length-lie", Fault.Peer_length_lie);
-    ("desync-frame", Fault.Peer_desync_frame);
-    ("drop-field", Fault.Peer_drop_field);
-  ]
-
-let valid_peer_sites () =
-  String.concat "|" (List.map fst short_names) ^ "|all"
-
-let site_of_peer_name name =
-  match List.assoc_opt name short_names with
-  | Some s -> Some s
-  | None -> (
-    match Fault.site_of_name name with
-    | Some s when Fault.is_peer_site s -> Some s
-    | _ -> None)
-
-let parse_spec s =
-  let items = String.split_on_char ',' s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | item :: rest -> (
-      match String.index_opt item ':' with
-      | None ->
-        Error
-          (Printf.sprintf
-             "invalid peer-fault spec item %S (want site:rate with site one of %s)"
-             item (valid_peer_sites ()))
-      | Some i -> (
-        let name = String.trim (String.sub item 0 i) in
-        let rate = String.sub item (i + 1) (String.length item - i - 1) in
-        match float_of_string_opt (String.trim rate) with
-        | Some r when r >= 0.0 && r <= 1.0 ->
-          if name = "all" then
-            go (List.rev_append (List.map (fun s -> (s, r)) Fault.peer_sites) acc) rest
-          else (
-            match site_of_peer_name name with
-            | Some site -> go ((site, r) :: acc) rest
-            | None ->
-              Error
-                (Printf.sprintf
-                   "unknown peer fault site %S in item %S (want one of %s)" name item
-                   (valid_peer_sites ())))
-        | _ ->
-          Error
-            (Printf.sprintf
-               "invalid peer fault rate %S in item %S (want a float in [0,1])" rate
-               item)))
-  in
-  match String.trim s with
-  | "" ->
-    Error
-      (Printf.sprintf "empty peer-fault spec (want site:rate,... with site one of %s)"
-         (valid_peer_sites ()))
-  | _ -> go [] items
+let parse_spec =
+  Plan.parse_sites ~what:"peer fault"
+    ~names:
+      [
+        ("flip", Fault.Peer_flip);
+        ("truncate", Fault.Peer_truncate);
+        ("duplicate", Fault.Peer_duplicate);
+        ("length-lie", Fault.Peer_length_lie);
+        ("desync-frame", Fault.Peer_desync_frame);
+        ("drop-field", Fault.Peer_drop_field);
+      ]

@@ -1,48 +1,55 @@
 type spec = (Fault.site * float) list
 
-(* Every parse error names the offending item verbatim and lists the
-   valid site names, so a bad NYX_FAULTS / --faults / --peer-faults spec
-   is diagnosable without reading the source. *)
-let valid_sites () =
-  String.concat "|" (List.map Fault.site_name Fault.all_sites) ^ "|all"
-
-let parse_rate ~item s =
-  match float_of_string_opt (String.trim s) with
-  | Some r when r >= 0.0 && r <= 1.0 -> Ok r
-  | _ ->
-    Error
-      (Printf.sprintf "invalid fault rate %S in item %S (want a float in [0,1])"
-         s item)
-
-let parse_spec s =
-  let items = String.split_on_char ',' s in
+(* The spec grammar, shared with --peer-faults: comma-separated
+   [site:rate] items over the sites [names] lists (a site's full name is
+   accepted too), [all] for every one of them, rates floats in [0,1].
+   Every error names the offending item verbatim and lists the valid
+   names, so a bad --faults / --peer-faults / NYX_FAULTS spec is
+   diagnosable without reading the source. *)
+let parse_sites ~what ~names s =
+  let valid = String.concat "|" (List.map fst names) ^ "|all" in
+  let sites = List.map snd names in
+  let site_of name =
+    match List.assoc_opt name names with
+    | Some _ as site -> site
+    | None -> (
+      match Fault.site_of_name name with
+      | Some site when List.mem site sites -> Some site
+      | _ -> None)
+  in
+  let spec = String.map (function ' ' -> '-' | c -> c) what ^ " spec" in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | item :: rest -> (
       match String.index_opt item ':' with
       | None ->
         Error
-          (Printf.sprintf "invalid fault spec item %S (want site:rate with site one of %s)"
-             item (valid_sites ()))
+          (Printf.sprintf "invalid %s item %S (want site:rate with site one of %s)" spec item
+             valid)
       | Some i -> (
         let name = String.trim (String.sub item 0 i) in
         let rate = String.sub item (i + 1) (String.length item - i - 1) in
-        match parse_rate ~item rate with
-        | Error _ as e -> e
-        | Ok r ->
-          if name = "all" then
-            go (List.rev_append (List.map (fun s -> (s, r)) Fault.all_sites) acc) rest
+        match float_of_string_opt (String.trim rate) with
+        | Some r when r >= 0.0 && r <= 1.0 ->
+          if name = "all" then go (List.rev_append (List.map (fun s -> (s, r)) sites) acc) rest
           else (
-            match Fault.site_of_name name with
+            match site_of name with
             | Some site -> go ((site, r) :: acc) rest
             | None ->
               Error
-                (Printf.sprintf "unknown fault site %S in item %S (want one of %s)"
-                   name item (valid_sites ())))))
+                (Printf.sprintf "unknown %s site %S in item %S (want one of %s)" what name item
+                   valid))
+        | _ ->
+          Error
+            (Printf.sprintf "invalid %s rate %S in item %S (want a float in [0,1])" what rate
+               item)))
   in
   match String.trim s with
-  | "" -> Error (Printf.sprintf "empty fault spec (want site:rate,... with site one of %s)" (valid_sites ()))
-  | _ -> go [] items
+  | "" -> Error (Printf.sprintf "empty %s (want site:rate,... with site one of %s)" spec valid)
+  | _ -> go [] (String.split_on_char ',' s)
+
+let parse_spec =
+  parse_sites ~what:"fault" ~names:(List.map (fun s -> (Fault.site_name s, s)) Fault.all_sites)
 
 (* Canonical rendering: per-site rates in site order, later spec items
    having overridden earlier ones. Checkpoints store this string so a
@@ -57,14 +64,6 @@ let spec_to_string sp =
          if r > 0.0 then Some (Printf.sprintf "%s:%.17g" (Fault.site_name site) r)
          else None)
        Fault.all_sites)
-
-let of_env () =
-  match Sys.getenv_opt "NYX_FAULTS" with
-  | None | Some "" -> None
-  | Some s -> (
-    match parse_spec s with
-    | Ok sp -> Some sp
-    | Error m -> invalid_arg ("NYX_FAULTS: " ^ m))
 
 type t = {
   rates : float array; (* per site, Fault.site_index order *)
@@ -157,3 +156,16 @@ let restore_state (t : t) (s : state) =
   t.seq <- s.st_seq;
   Array.blit s.st_injected 0 t.injected 0 Fault.num_sites;
   Array.blit s.st_recovered 0 t.recovered 0 Fault.num_sites
+
+let add_state b s =
+  Nyx_sim.Wire.add_i64 b s.st_rng;
+  Nyx_sim.Wire.add_int b s.st_seq;
+  Nyx_sim.Wire.add_int_array b s.st_injected;
+  Nyx_sim.Wire.add_int_array b s.st_recovered
+
+let get_state c =
+  let st_rng = Nyx_sim.Wire.get_i64 c in
+  let st_seq = Nyx_sim.Wire.get_int c in
+  let st_injected = Nyx_sim.Wire.get_int_array c in
+  let st_recovered = Nyx_sim.Wire.get_int_array c in
+  { st_rng; st_seq; st_injected; st_recovered }

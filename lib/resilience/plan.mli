@@ -10,8 +10,7 @@
 
     Specs are comma-separated [site:rate] pairs, e.g.
     ["snap-corrupt:0.05,restore-fail:0.02,wedge:0.01"]; the pseudo-site
-    [all] sets every rate at once. [NYX_FAULTS] carries the spec in the
-    environment ({!of_env}). *)
+    [all] sets every rate at once. *)
 
 type spec = (Fault.site * float) list
 
@@ -19,14 +18,16 @@ val parse_spec : string -> (spec, string) result
 (** Rates must be floats in [0,1]; unknown sites and malformed items are
     errors. Later items override earlier ones for the same site. *)
 
+val parse_sites :
+  what:string -> names:(string * Fault.site) list -> string -> (spec, string) result
+(** The grammar behind {!parse_spec}, over the sites [names] lists:
+    each is accepted under its listed name or its {!Fault.site_name},
+    and [all] sets every one of them. Errors call a spec a [what] spec
+    and list the [names]. *)
+
 val spec_to_string : spec -> string
 (** Canonical spec string (site order, full float precision) —
     [parse_spec] of it round-trips. Stored in checkpoints. *)
-
-val of_env : unit -> spec option
-(** The [NYX_FAULTS] spec, if set and non-empty.
-    @raise Invalid_argument when set but malformed — a campaign must not
-    silently run fault-free when faults were requested. *)
 
 type t
 
@@ -69,3 +70,8 @@ val state : t -> state
 val restore_state : t -> state -> unit
 (** @raise Invalid_argument if the counter arrays do not match
     {!Fault.num_sites}. *)
+
+val add_state : Buffer.t -> state -> unit
+val get_state : Nyx_sim.Wire.cursor -> state
+(** The state's checkpoint encoding. @raise Nyx_sim.Wire.Corrupt on
+    malformed input. *)

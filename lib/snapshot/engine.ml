@@ -238,46 +238,48 @@ let stats t =
 let mirror_pages t = Hashtbl.length t.mirror
 let root_stored_bytes t = Root.stored_bytes t.root
 
-(* Checkpoint support. Persist only what later behavior can observe: the
+(* Checkpoint section. Persist only what later behavior can observe: the
    mirror KEY set (every entry's content is overwritten at the next
    take_incremental — stale entries from root, dirty ones from memory —
    before any restore reads it), the re-mirror/stat counters, and the
    dirty STACK order (Root.restore overwrites dirty page contents from the
    root image; only the per-entry cost charges depend on the stack). *)
 
-type persisted = {
-  p_mirror : int list;  (* sorted pfns *)
-  p_creates_since_remirror : int;
-  p_stats : stats;
-  p_dirty : int list;  (* pfns in dirtying order *)
-}
+open Nyx_sim.Wire
 
-let checkpoint t =
-  if t.active then invalid_arg "Engine.checkpoint: incremental snapshot active";
-  {
-    p_mirror =
-      List.sort compare (Hashtbl.fold (fun pfn _ acc -> pfn :: acc) t.mirror []);
-    p_creates_since_remirror = t.creates_since_remirror;
-    p_stats = stats t;
-    p_dirty = Dirty_log.to_list (Memory.dirty t.vm.mem);
-  }
+let save t =
+  if t.active then invalid_arg "Engine.save: incremental snapshot active";
+  to_bytes (fun b ->
+      add_list add_int b
+        (List.sort compare (Hashtbl.fold (fun pfn _ acc -> pfn :: acc) t.mirror []));
+      List.iter (add_int b)
+        [ t.creates_since_remirror; t.s_root_restores; t.s_inc_creates; t.s_inc_restores;
+          t.s_pages_restored; t.s_remirrors ];
+      add_list add_int b (Dirty_log.to_list (Memory.dirty t.vm.mem)))
 
 (* Cost-free: the restored clock value already includes every charge the
    original run paid to build this state. *)
-let restore_checkpoint t p =
-  if t.active then
-    invalid_arg "Engine.restore_checkpoint: incremental snapshot active";
+let load t data =
+  if t.active then invalid_arg "Engine.load: incremental snapshot active";
+  let mirror, counters, dirty =
+    of_bytes
+      (fun c ->
+        let mirror = get_list get_int c in
+        let counters = Array.init 6 (fun _ -> get_int c) in
+        (mirror, counters, get_list get_int c))
+      data
+  in
+  let pages = Memory.num_pages t.vm.mem in
+  if List.exists (fun pfn -> pfn < 0 || pfn >= pages) (mirror @ dirty) then
+    invalid_arg "Engine.load: page number outside guest memory";
   Hashtbl.reset t.mirror;
-  List.iter
-    (fun pfn ->
-      Hashtbl.replace t.mirror pfn (Bytes.copy (root_page_or_zero t pfn)))
-    p.p_mirror;
-  t.creates_since_remirror <- p.p_creates_since_remirror;
-  t.s_root_restores <- p.p_stats.root_restores;
-  t.s_inc_creates <- p.p_stats.incremental_creates;
-  t.s_inc_restores <- p.p_stats.incremental_restores;
-  t.s_pages_restored <- p.p_stats.pages_restored;
-  t.s_remirrors <- p.p_stats.remirrors;
-  let dirty = Memory.dirty t.vm.mem in
-  Dirty_log.clear dirty;
-  List.iter (fun pfn -> ignore (Dirty_log.mark dirty pfn)) p.p_dirty
+  List.iter (fun pfn -> Hashtbl.replace t.mirror pfn (Bytes.copy (root_page_or_zero t pfn))) mirror;
+  t.creates_since_remirror <- counters.(0);
+  t.s_root_restores <- counters.(1);
+  t.s_inc_creates <- counters.(2);
+  t.s_inc_restores <- counters.(3);
+  t.s_pages_restored <- counters.(4);
+  t.s_remirrors <- counters.(5);
+  let log = Memory.dirty t.vm.mem in
+  Dirty_log.clear log;
+  List.iter (fun pfn -> ignore (Dirty_log.mark log pfn)) dirty

@@ -75,23 +75,19 @@ val root_stored_bytes : t -> int
     behind the §5.3 scalability claim that 80 instances need ~2× the
     memory of one. *)
 
-(** {2 Checkpoint support}
+(** {2 Checkpoint section}
 
     An engine's observable state between executions reduces to the mirror
     key set, the counters, and the dirty-stack order; page contents are
     always overwritten before they are next read. *)
 
-type persisted = {
-  p_mirror : int list;  (** mirror pfns, sorted *)
-  p_creates_since_remirror : int;
-  p_stats : stats;
-  p_dirty : int list;  (** dirty pfns, in dirtying order *)
-}
-
-val checkpoint : t -> persisted
+val save : t -> bytes
 (** @raise Invalid_argument if an incremental snapshot is active. *)
 
-val restore_checkpoint : t -> persisted -> unit
-(** Re-establish a checkpointed engine state on a freshly booted engine
-    for the same target. Cost-free: the caller restores the virtual clock
-    separately. @raise Invalid_argument if an incremental is active. *)
+val load : t -> bytes -> unit
+(** Re-establish a {!save}d state on a freshly booted engine for the same
+    target; the engine is unchanged when the section is rejected.
+    Cost-free: the caller restores the virtual clock separately.
+    @raise Nyx_sim.Wire.Corrupt on a malformed section.
+    @raise Invalid_argument if an incremental snapshot is active or the
+    section names a page outside guest memory. *)

@@ -135,41 +135,46 @@ let stats t =
         s_credit = t.credit_.(i);
       })
 
-type mstate = {
-  ms_name : string;
-  ms_attempts : int;
-  ms_rejected : int;
-  ms_accepts : int;
-  ms_credit : int64;
-}
+(* Checkpoint section: per mutator, in engine order, its name (checked
+   on load) and its counters; credits as float bits. *)
 
-type state = mstate list
+open Wire
 
-let state t =
-  List.init (Array.length t.mutators) (fun i ->
-      {
-        ms_name = t.mutators.(i).m_name;
-        ms_attempts = t.attempts.(i);
-        ms_rejected = t.rejected.(i);
-        ms_accepts = t.accepts.(i);
-        ms_credit = Int64.bits_of_float t.credit_.(i);
-      })
+let save t =
+  to_bytes (fun b ->
+      add_int b (Array.length t.mutators);
+      Array.iteri
+        (fun i m ->
+          add_str b m.m_name;
+          List.iter (add_int b) [ t.attempts.(i); t.rejected.(i); t.accepts.(i) ];
+          add_i64 b (Int64.bits_of_float t.credit_.(i)))
+        t.mutators)
 
-let restore_state t s =
-  if List.length s <> Array.length t.mutators then
-    invalid_arg "Mutation_engine.restore_state: mutator count mismatch";
+let load t data =
+  let rows =
+    of_bytes
+      (get_list (fun c ->
+           let name = get_str c in
+           let counts = Array.init 3 (fun _ -> get_int c) in
+           (name, counts, Int64.float_of_bits (get_i64 c))))
+      data
+  in
+  if List.length rows <> Array.length t.mutators then
+    invalid_arg "Mutation_engine.load: mutator count mismatch";
   List.iteri
-    (fun i ms ->
-      if ms.ms_name <> t.mutators.(i).m_name then
+    (fun i (name, _, _) ->
+      if name <> t.mutators.(i).m_name then
         invalid_arg
-          (Printf.sprintf
-             "Mutation_engine.restore_state: mutator %d is %S, checkpoint says %S"
-             i t.mutators.(i).m_name ms.ms_name);
-      t.attempts.(i) <- ms.ms_attempts;
-      t.rejected.(i) <- ms.ms_rejected;
-      t.accepts.(i) <- ms.ms_accepts;
-      t.credit_.(i) <- Int64.float_of_bits ms.ms_credit)
-    s
+          (Printf.sprintf "Mutation_engine.load: mutator %d is %S, checkpoint says %S" i
+             t.mutators.(i).m_name name))
+    rows;
+  List.iteri
+    (fun i (_, counts, credit) ->
+      t.attempts.(i) <- counts.(0);
+      t.rejected.(i) <- counts.(1);
+      t.accepts.(i) <- counts.(2);
+      t.credit_.(i) <- credit)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* The byte/havoc engine.                                              *)

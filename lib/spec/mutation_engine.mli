@@ -17,7 +17,7 @@
     byte-identical.
 
     Counter/credit updates ({!credit}) draw nothing and touch no clock:
-    they are pure accumulator arithmetic, checkpointed via {!state} so
+    they are pure accumulator arithmetic, checkpointed via {!save} so
     kill+resume replays the same effective weights. *)
 
 (** Per-call mutation context, assembled by the campaign each round. *)
@@ -76,20 +76,14 @@ type stat = {
 val stats : t -> stat list
 (** In mutator order. *)
 
-type mstate = {
-  ms_name : string;
-  ms_attempts : int;
-  ms_rejected : int;
-  ms_accepts : int;
-  ms_credit : int64;  (** EWMA credit as [Int64.bits_of_float] *)
-}
+val save : t -> bytes
+(** The checkpoint section: per-mutator counters and EWMA credit. *)
 
-type state = mstate list
-
-val state : t -> state
-
-val restore_state : t -> state -> unit
-(** @raise Invalid_argument when the mutator names do not match the
+val load : t -> bytes -> unit
+(** Overwrite the counters and credits with a {!save}d section; the
+    engine is unchanged when the section is rejected.
+    @raise Nyx_sim.Wire.Corrupt on a malformed section.
+    @raise Invalid_argument when the mutator names do not match the
     engine's (same names, same order) — e.g. a checkpoint from a
     different engine. *)
 

@@ -130,12 +130,12 @@ let test_credit_ewma () =
 
 let test_state_roundtrip_and_mismatch () =
   let engine = Engines.create Engines.Typed (spec ()) in
-  let st = ME.state engine in
-  ME.restore_state engine st;
-  check_bool "restore of own state is a no-op" true (ME.state engine = st);
+  let st = ME.save engine in
+  ME.load engine st;
+  check_bool "restore of own state is a no-op" true (ME.save engine = st);
   let foreign = ME.havoc () in
   check_bool "foreign state rejected" true
-    (invalid_arg (fun () -> ME.restore_state foreign st))
+    (invalid_arg (fun () -> ME.load foreign st))
 
 let test_create_rejects_bad_weights () =
   check_bool "empty mutator list" true

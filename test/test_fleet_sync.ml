@@ -195,12 +195,12 @@ let test_kill_resume_bit_identical () =
     [ 1; 2 ]
 
 let test_resume_rejects_garbage () =
-  (* A valid NYXFLT1 header, no epoch rows, a slot count of 2^40 and one
+  (* A valid NYXFLT2 header, no epoch rows, a slot count of 2^40 and one
      dead slot: 87 bytes whose slot count must be checked against the
      bytes left before anything is allocated for it. *)
   let huge_slot_count =
     let b = Buffer.create 87 in
-    Buffer.add_string b "NYXFLT1";
+    Buffer.add_string b "NYXFLT2";
     List.iter
       (fun v -> Buffer.add_int64_be b (Int64.of_int v))
       [
@@ -234,9 +234,11 @@ let test_resume_rejects_garbage () =
       ("2^40 slots in 87 bytes", huge_slot_count);
     ]
 
-(* The NYXFLT1 layout, pinned by the file a small fixed synced fleet
-   writes (the NYXCKP1 counterpart is in test_resilience): a
-   self-consistent format change would still pass kill + resume. *)
+(* The NYXFLT2 layout, pinned by the file a small fixed synced fleet
+   writes (the NYXCKP2 counterpart is in test_resilience): a
+   self-consistent format change would still pass kill + resume. The
+   component sections' layouts are pinned on a checkpoint that fills
+   all of them, by test_resilience's "section golden bytes". *)
 let test_checkpoint_golden_bytes () =
   let path = Filename.temp_file "nyx_fleet_golden" ".bin" in
   Fun.protect
@@ -247,7 +249,7 @@ let test_checkpoint_golden_bytes () =
         (sync_run ~instances:2 ~sync_ns:150_000_000 ~checkpoint (cfg ())
            (echo_entry ()));
       Alcotest.(check string)
-        "NYXFLT1 file digest" "34b9dd138cee91ab6cc6d9ffa00c3b5f"
+        "NYXFLT2 file digest" "64f5aa11ac0edb03dc0a195d096541b1"
         (Digest.to_hex (Digest.file path)))
 
 let test_checkpoint_requires_sync () =

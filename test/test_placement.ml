@@ -188,7 +188,7 @@ let test_static_policies_report_no_stats () =
     [ Policy.None_; Policy.Balanced; Policy.Aggressive ]
 
 let test_policy_state_roundtrip () =
-  (* The adaptive table survives checkpoint_state/restore_state exactly:
+  (* The adaptive table survives save/load exactly:
      a restored policy makes the same next decision, including the
      armed (one-dry-round-from-moving) staleness. *)
   let p1 = dyn_policy () in
@@ -196,11 +196,11 @@ let test_policy_state_roundtrip () =
   Policy.set_boundaries p1 ~input_id:7 ~packets:8 ~boundaries:[ 2; 6 ];
   ignore (Policy.decide p1 ~input_id:7 ~packets:8);
   Policy.notify_no_news p1 ~input_id:7;
-  let st = Policy.checkpoint_state p1 in
+  let st = Policy.save p1 in
   let p2 = dyn_policy () in
-  Policy.restore_state p2 st;
+  Policy.load p2 st;
   check_bool "restored state is re-checkpointable identically" true
-    (Policy.checkpoint_state p2 = st);
+    (Policy.save p2 = st);
   Policy.notify_no_news p1 ~input_id:7;
   Policy.notify_no_news p2 ~input_id:7;
   let a = Policy.decide p1 ~input_id:7 ~packets:8 in

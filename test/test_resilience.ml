@@ -12,6 +12,11 @@ let ok = function
   | Ok v -> v
   | Error m -> Alcotest.fail ("expected Ok, got Error: " ^ m)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let echo_entry () = Option.get (Nyx_targets.Registry.find "echo")
 
 let small_config =
@@ -63,18 +68,23 @@ let test_spec_canonical_roundtrip () =
   let s = Plan.spec_to_string sp in
   check_bool "roundtrip" true (ok (Plan.parse_spec s) = sp)
 
-let test_of_env () =
-  Unix.putenv "NYX_FAULTS" "wedge:0.5";
-  (match Plan.of_env () with
-  | Some [ (Fault.Guest_wedge, r) ] -> check_bool "env rate" true (r = 0.5)
-  | _ -> Alcotest.fail "NYX_FAULTS not parsed");
-  Unix.putenv "NYX_FAULTS" "nonsense";
-  (try
-     ignore (Plan.of_env ());
-     Alcotest.fail "malformed NYX_FAULTS must raise"
-   with Invalid_argument _ -> ());
-  Unix.putenv "NYX_FAULTS" "";
-  check_bool "unset" true (Plan.of_env () = None)
+(* Library campaigns arm only [~faults] / [~peer_faults]: an exported
+   NYX_FAULTS, well-formed or not, changes nothing. Only the CLI's fuzz
+   reads it, as the default of --faults. *)
+let test_library_ignores_nyx_faults () =
+  let entry = echo_entry () in
+  let cfg = { small_config with Campaign.max_execs = 300 } in
+  let plain = Campaign.run cfg entry in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "NYX_FAULTS" "")
+    (fun () ->
+      List.iter
+        (fun spec ->
+          Unix.putenv "NYX_FAULTS" spec;
+          let r = Campaign.run cfg entry in
+          check_bool (spec ^ ": no resilience block") true (r.Report.resilience = None);
+          check_bool (spec ^ ": same result") true (Report.same_deterministic plain r))
+        [ "all:0.5"; "nonsense" ])
 
 (* ------------------------------------------------------------------ *)
 (* Plan determinism                                                    *)
@@ -564,9 +574,6 @@ let sample_checkpoint () =
     c_solved_ns = Some 55;
     c_sched_rng = 0x1234_5678_9abc_def0L;
     c_mut_rng = -1L;
-    c_policy_state =
-      { Policy.st_rng = 17L; st_cursor = [ (1, 2); (3, 4) ]; st_dyn = []; st_probes = 0;
-        st_probe_hashes = 0; st_probe_skipped = 0 };
     c_corpus =
       [
         {
@@ -588,42 +595,11 @@ let sample_checkpoint () =
           cr_input = b "\x00\x01input";
         };
       ];
-    c_engine =
-      {
-        Nyx_snapshot.Engine.p_mirror = [ 1; 5; 9 ];
-        p_creates_since_remirror = 2;
-        p_stats =
-          {
-            Nyx_snapshot.Engine.root_restores = 1;
-            incremental_creates = 2;
-            incremental_restores = 3;
-            pages_restored = 4;
-            remirrors = 5;
-          };
-        p_dirty = [ 9; 5 ];
-      };
     c_dict = [ b "GET"; Bytes.empty; b "\r\n" ];
     c_max_ops = 24;
     c_exec_timeline = [ (3, Int64.bits_of_float 1.0); (8, Int64.bits_of_float 2.5) ];
     c_mut_engine = "typed";
     c_mut_weights = [ ("splice", Int64.bits_of_float 2.0) ];
-    c_mut_state =
-      [
-        {
-          Nyx_spec.Mutation_engine.ms_name = "havoc";
-          ms_attempts = 10;
-          ms_rejected = 0;
-          ms_accepts = 3;
-          ms_credit = Int64.bits_of_float 0.25;
-        };
-        {
-          Nyx_spec.Mutation_engine.ms_name = "splice";
-          ms_attempts = 4;
-          ms_rejected = 2;
-          ms_accepts = 1;
-          ms_credit = Int64.bits_of_float 0.05;
-        };
-      ];
     c_faults =
       Some
         ( "wedge:0.5",
@@ -633,17 +609,13 @@ let sample_checkpoint () =
             st_injected = Array.make Fault.num_sites 1;
             st_recovered = Array.make Fault.num_sites 1;
           } );
+    (* Sections are opaque to Checkpoint; their owners' layouts are
+       pinned on real checkpoints by "section golden bytes" below. *)
+    c_policy_state = b "policy section";
+    c_engine = b "engine\x00section";
+    c_mut_state = Bytes.empty;
     c_profile = None;
-    c_peer =
-      Some
-        {
-          Nyx_peer.Peer_driver.pd_actions = 42;
-          pd_fired = Array.of_list (List.map (fun _ -> 2) Fault.peer_sites);
-          pd_desyncs = 3;
-          pd_restarts = 2;
-          pd_quarantines = 1;
-          pd_backoff_ns = 7_000_000;
-        };
+    c_peer = Some (b "peer section");
   }
 
 let test_checkpoint_roundtrip () =
@@ -660,13 +632,13 @@ let test_checkpoint_roundtrip () =
       | Ok t' -> check_bool "file roundtrip" true (t' = t)
       | Error m -> Alcotest.fail m)
 
-(* The NYXCKP1 layout, pinned: the round-trip tests alone would pass a
+(* The NYXCKP2 layout, pinned: the round-trip tests alone would pass a
    self-consistent format change that leaves every checkpoint already on
    disk unreadable. A deliberate format change bumps the magic and this
    digest together. *)
 let test_checkpoint_golden_bytes () =
   Alcotest.(check string)
-    "NYXCKP1 encoding digest" "d9883be026aea7bfa11687972e03b4dd"
+    "NYXCKP2 encoding digest" "85f150069145f2349a76faed5c4fa7c0"
     (Digest.to_hex (Digest.bytes (Checkpoint.encode (sample_checkpoint ()))))
 
 let test_checkpoint_rejects_corrupt () =
@@ -674,7 +646,7 @@ let test_checkpoint_rejects_corrupt () =
   let enc = Checkpoint.encode t in
   let corrupt data =
     match Checkpoint.decode data with
-    | exception Checkpoint.Corrupt _ -> true
+    | exception Nyx_sim.Wire.Corrupt _ -> true
     | _ -> false
   in
   check_bool "truncated" true (corrupt (Bytes.sub enc 0 (Bytes.length enc / 2)));
@@ -685,6 +657,136 @@ let test_checkpoint_rejects_corrupt () =
         Bytes.set d 0 'X';
         d));
   check_bool "empty" true (corrupt Bytes.empty)
+
+(* An older version of the format is refused by name, not misread. *)
+let test_checkpoint_rejects_old_version () =
+  let data = Checkpoint.encode (sample_checkpoint ()) in
+  Bytes.blit_string "NYXCKP1" 0 data 0 7;
+  let path = Filename.temp_file "nyx_ckpt_v1" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      ok (Atomic_io.write_file path data);
+      match Checkpoint.load path with
+      | Ok _ -> Alcotest.fail "an NYXCKP1 file must be rejected"
+      | Error m -> check_bool ("error names the version: " ^ m) true (contains m "NYXCKP1"))
+
+(* ------------------------------------------------------------------ *)
+(* Component sections                                                  *)
+
+let lightftp () = Option.get (Nyx_targets.Registry.find "lightftp")
+let lightftp_peer () = Option.get (Nyx_peer.Peer_script.find "lightftp")
+
+(* domain-safe: test-only lazy fixture, forced on a single domain.
+   A real checkpoint with every section: dynamic placement, the typed
+   engine, peer mode with all six encoder faults armed, profiled. *)
+let peer_checkpoint =
+  lazy
+    (let cfg = { small_config with Campaign.policy = Policy.Dynamic; engine = Engines.Typed } in
+     let inst =
+       Campaign.start ~peer:(lightftp_peer ())
+         ~peer_faults:(ok (Nyx_peer.Peer_fault.parse_spec "all:0.5"))
+         ~profile:true cfg (lightftp ())
+     in
+     Campaign.step inst ~until_ns:1_000_000_000;
+     Campaign.checkpoint_now inst)
+
+(* The sections' layouts, pinned on real checkpoints: [sample_checkpoint]
+   carries opaque placeholders, so without this a self-consistent
+   reorder inside an owner's save/load would pass every test and strand
+   the checkpoints already on disk. [peer_checkpoint] holds every
+   section (the dynamic table, the typed engine, peer counters, the
+   profile, a fault plan); an aggressive campaign's policy section holds
+   the cursor table. A deliberate layout change bumps the magic and
+   these digests together. *)
+let test_section_golden_bytes () =
+  let digest b = Digest.to_hex (Digest.bytes b) in
+  let fresh kind = Bytes.length (Policy.save (Policy.create kind (Nyx_sim.Rng.create 0))) in
+  let ck = Lazy.force peer_checkpoint in
+  check_bool "dynamic table non-empty" true
+    (Bytes.length ck.Checkpoint.c_policy_state > fresh Policy.Dynamic);
+  Alcotest.(check string)
+    "real NYXCKP2 checkpoint digest" "3e4665f713b91ac488488dceb91c7274" (digest (Checkpoint.encode ck));
+  let inst = Campaign.start small_config (echo_entry ()) in
+  Campaign.step inst ~until_ns:1_000_000_000;
+  let aggressive = (Campaign.checkpoint_now inst).Checkpoint.c_policy_state in
+  check_bool "cursor table non-empty" true (Bytes.length aggressive > fresh Policy.Aggressive);
+  Alcotest.(check string) "aggressive policy section digest" "2007143bc73f80a270c0d3fed07e51b0" (digest aggressive)
+
+(* Each section of [peer_checkpoint] with its owner's [load] on a fresh
+   owner, and the prefix of the Invalid_argument that owner documents. *)
+let section_loads () =
+  let ck = Lazy.force peer_checkpoint in
+  let spec = Campaign.net_spec () in
+  let exec =
+    Executor.create ~peer:(lightftp_peer ()) ~net_spec:spec
+      (lightftp ()).Nyx_targets.Registry.target
+  in
+  [
+    ( "policy",
+      ck.Checkpoint.c_policy_state,
+      Policy.load (Policy.create Policy.Dynamic (Nyx_sim.Rng.create 0)),
+      None );
+    ("snapshot-engine", ck.Checkpoint.c_engine, Executor.load_engine exec, Some "Engine.load:");
+    ( "mutation",
+      ck.Checkpoint.c_mut_state,
+      Nyx_spec.Mutation_engine.load (Engines.create Engines.Typed spec.Nyx_spec.Net_spec.spec),
+      Some "Mutation_engine.load:" );
+    ( "profile",
+      Option.get ck.Checkpoint.c_profile,
+      Nyx_obs.Profile.load (Nyx_obs.Profile.create ()),
+      None );
+    ( "peer",
+      Option.get ck.Checkpoint.c_peer,
+      Nyx_peer.Peer_driver.load (Option.get (Executor.peer_driver exec)),
+      None );
+  ]
+
+(* domain-safe: test-only lazy fixture, forced on a single domain *)
+let prop_section_loads_total =
+  (* Truncations, byte flips and random bytes fed to each section's
+     load: it returns, raises Corrupt, or raises the Invalid_argument its
+     owner documents. Anything else (Not_found, an index error,
+     Out_of_memory) escapes and fails the property. *)
+  let loads = lazy (section_loads ()) in
+  QCheck.Test.make ~name:"section loads are total" ~count:1000
+    QCheck.(quad (int_bound 4) (int_bound 2) (int_bound 1_000_000) (string_of_size Gen.(0 -- 96)))
+    (fun (i, kind, n, junk) ->
+      let _, data, load, documented = List.nth (Lazy.force loads) i in
+      let len = Bytes.length data in
+      let input =
+        match kind with
+        | 0 -> Bytes.sub data 0 (n mod len)
+        | 1 ->
+          let d = Bytes.copy data and pos = n mod len in
+          Bytes.set d pos (Char.chr (Char.code (Bytes.get d pos) lxor (1 + (n / len mod 255))));
+          d
+        | _ -> Bytes.of_string junk
+      in
+      match load input with
+      | () -> true
+      | exception Nyx_sim.Wire.Corrupt _ -> true
+      | exception Invalid_argument m
+        when Option.fold ~none:false ~some:(fun prefix -> String.starts_with ~prefix m) documented
+        ->
+        true)
+
+let test_resume_names_garbage_section () =
+  let ck = Lazy.force peer_checkpoint in
+  let garbage = Bytes.make 16 '\xff' in
+  List.iter
+    (fun (name, ck) ->
+      match Campaign.resume ~profile:true ck (lightftp ()) with
+      | _ -> Alcotest.fail (name ^ ": garbage section must be rejected")
+      | exception Invalid_argument m ->
+        check_bool (name ^ " named in: " ^ m) true (contains m (name ^ " section")))
+    [
+      ("policy", { ck with Checkpoint.c_policy_state = garbage });
+      ("snapshot-engine", { ck with Checkpoint.c_engine = garbage });
+      ("mutation", { ck with Checkpoint.c_mut_state = garbage });
+      ("profile", { ck with Checkpoint.c_profile = Some garbage });
+      ("peer", { ck with Checkpoint.c_peer = Some garbage });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/resume determinism                                       *)
@@ -782,7 +884,7 @@ let () =
           Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
           Alcotest.test_case "spec canonical roundtrip" `Quick
             test_spec_canonical_roundtrip;
-          Alcotest.test_case "NYX_FAULTS" `Quick test_of_env;
+          Alcotest.test_case "NYX_FAULTS" `Quick test_library_ignores_nyx_faults;
           Alcotest.test_case "deterministic schedule" `Quick
             test_plan_deterministic;
           Alcotest.test_case "zero-rate sites draw nothing" `Quick
@@ -844,6 +946,11 @@ let () =
           Alcotest.test_case "golden bytes" `Quick test_checkpoint_golden_bytes;
           Alcotest.test_case "rejects corrupt input" `Quick
             test_checkpoint_rejects_corrupt;
+          Alcotest.test_case "section golden bytes" `Quick test_section_golden_bytes;
+          Alcotest.test_case "rejects NYXCKP1" `Quick test_checkpoint_rejects_old_version;
+          Alcotest.test_case "resume names a garbage section" `Quick
+            test_resume_names_garbage_section;
+          QCheck_alcotest.to_alcotest prop_section_loads_total;
           Alcotest.test_case "checkpointing is observational" `Slow
             test_checkpointing_is_observational;
           Alcotest.test_case "resume rejects foreign target" `Quick
