@@ -28,13 +28,16 @@ lint:
 # (hotpath additionally fails if the before/after gears diverge or the
 # speedup drops below 2x), the static-vs-dynamic conformance gate, the
 # CLI's checkpoint resume and NYX_FAULTS handling, and the host-time
-# benchmark's output checks.
+# benchmark's output checks. The smoke benches run on small budgets, so
+# they write under bench_out/ and leave the committed BENCH_parallel.json
+# and BENCH_hotpath.json (bench-smoke, bench-hotpath) alone: the tree
+# stays clean.
 check:
 	dune build @all && dune runtest
 	$(MAKE) lint
 	NYX_SANITIZE=1 dune runtest --force
-	NYX_DOMAINS=4 dune exec bench/main.exe -- parallel_smoke --budget 1 --sync-ms 100
-	NYX_DOMAINS=4 NYX_BENCH_HOTPATH_EXECS=1500 NYX_BENCH_HOTPATH_PHASE_ITERS=1000 dune exec bench/main.exe -- hotpath
+	NYX_DOMAINS=4 dune exec bench/main.exe -- parallel_smoke --budget 1 --sync-ms 100 -o bench_out/BENCH_parallel.json
+	NYX_DOMAINS=4 NYX_BENCH_HOTPATH_EXECS=1500 NYX_BENCH_HOTPATH_PHASE_ITERS=1000 dune exec bench/main.exe -- hotpath -o bench_out/BENCH_hotpath.json
 	$(MAKE) bench-snapshot
 	$(MAKE) bench-mutation
 	$(MAKE) bench-peer

@@ -2,7 +2,7 @@
    paper's evaluation (see DESIGN.md §3 for the experiment index and
    EXPERIMENTS.md for recorded paper-vs-measured results).
 
-   Usage:  dune exec bench/main.exe [-- EXPERIMENT... [--budget S] [--sync-ms MS]]
+   Usage:  dune exec bench/main.exe [-- EXPERIMENT... [--budget S] [--sync-ms MS] [-o PATH]]
    Experiments: table1 table2 table3 table4 table5 fig5 fig6 scalability
                 ablation_reuse ablation_dirty ablation_boundary
                 ablation_remirror bechamel parallel_smoke snapshot_matrix
@@ -14,6 +14,10 @@
      --budget S      parallel_smoke virtual budget in seconds (default 10)
      --sync-ms MS    parallel_smoke corpus-sync interval in virtual ms
                      (default 250)
+     -o PATH         write the experiment's JSON artifact (BENCH_*.json,
+                     FAULTCHECK.json, STATECHECK.json) to PATH instead of
+                     its name in the working directory; one experiment
+                     only. Smoke runs use it to keep the committed files.
    Environment:
      NYX_BENCH_BUDGET_S    virtual seconds per campaign (default 30)
      NYX_BENCH_REPS        repetitions per cell (default 1; paper used 10)
@@ -52,6 +56,9 @@ let flag_budget_s : int option ref = ref None
 (* domain-safe: same write-once-before-domains invariant as above. *)
 let flag_sync_ms : int option ref = ref None
 
+(* domain-safe: same write-once-before-domains invariant as above. *)
+let flag_out : string option ref = ref None
+
 let budget_ns = env_int "NYX_BENCH_BUDGET_S" 30 * 1_000_000_000
 let reps = env_int "NYX_BENCH_REPS" 1
 let max_execs = env_int "NYX_BENCH_MAX_EXECS" 30_000
@@ -74,8 +81,12 @@ let write_csv name lines =
   Printf.printf "  [csv] %s\n%!" path
 
 (* A BENCH_*.json-style artifact, written to [path] (relative to the
-   working directory, not [out_dir]). *)
+   working directory, not [out_dir]), or to the [-o] path, whose
+   directory is created if missing. *)
 let write_json path json =
+  let path = Option.value !flag_out ~default:path in
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc (json ^ "\n"));
@@ -1982,7 +1993,7 @@ let matrix_experiments = [ "table1"; "table2"; "table3"; "table5"; "fig5" ]
 let () =
   let rec parse acc = function
     | [] -> List.rev acc
-    | ("--budget" | "--sync-ms") :: [] ->
+    | ("--budget" | "--sync-ms" | "-o") :: [] ->
       Printf.eprintf "missing value for flag\n";
       exit 1
     | "--budget" :: v :: rest -> (
@@ -2001,10 +2012,17 @@ let () =
       | _ ->
         Printf.eprintf "--sync-ms expects a positive integer, got %S\n" v;
         exit 1)
+    | "-o" :: v :: rest ->
+      flag_out := Some v;
+      parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
   let args = if args = [] || args = [ "all" ] then List.map fst experiments else args in
+  if !flag_out <> None && List.length args <> 1 then begin
+    Printf.eprintf "-o names one artifact: give exactly one experiment\n";
+    exit 1
+  end;
   Printf.printf
     "Nyx-Net benchmark harness: budget=%ds (virtual), reps=%d, max_execs=%d\n%!"
     (budget_ns / 1_000_000_000) reps max_execs;

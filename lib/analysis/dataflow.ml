@@ -3,10 +3,12 @@ open Nyx_spec
 (* Typestate pass over programs: the per-program side of the static
    protocol state machine in [State_graph].
 
-   Two analyses share the value-tracking walk:
+   Two analyses walk the program's values, each numbering them in output
+   order as [Program.validate] does (value [v] is the [v]-th output of
+   the program); they share that numbering, not a walk:
 
    - the abstract state path (which edge types have a live value after
-     each op), used for the [state-unreachable-op] diagnostic;
+     each op), which the typed splice mutator cuts programs by;
 
    - a per-op "affecting" classification under-approximating which ops
      can change the observable protocol state the dynamic boundary probe
@@ -82,35 +84,66 @@ let feasible_boundaries ?udp (p : Program.t) =
   let n = Array.length aff in
   List.filter (fun b -> aff.(b - 1)) (List.init (max 0 (n - 1)) (fun i -> i + 1))
 
+(* [1 + the largest edge-type id] over [edges], at least [acc]. *)
+let rec types_bound acc = function
+  | [] -> acc
+  | (e : Spec.edge_ty) :: rest -> types_bound (max acc (e.Spec.et_id + 1)) rest
+
+(* Append values of types [edges] to the table [ty] from index [n] on,
+   counting each in [live]; the new value count. *)
+let rec push_live ty live n = function
+  | [] -> n
+  | (e : Spec.edge_ty) :: rest ->
+    ty.(n) <- e.Spec.et_id;
+    live.(e.Spec.et_id) <- live.(e.Spec.et_id) + 1;
+    push_live ty live (n + 1) rest
+
+(* A known opcode other than the snapshot: one that binds and outputs. *)
+let binds spec node =
+  node >= 0 && node < Spec.node_count spec && node <> Spec.snapshot_node_id
+
 (* Abstract state path: the set of edge types with a live (unconsumed)
    value after each op of the *original* program (index 0 = before any
-   op). Snapshot ops leave the state unchanged. *)
+   op). Snapshot ops leave the state unchanged. One pass over a value
+   table ([ty.(v)] = edge-type id of value [v], -1 once consumed) and a
+   live count per edge type: a type's bit clears when its count drops
+   to 0. *)
 let state_path (p : Program.t) =
-  let n = Array.length p.Program.ops in
+  let spec = p.Program.spec and ops = p.Program.ops in
+  let n = Array.length ops in
+  let cap = ref 0 and n_types = ref 0 in
+  for i = 0 to n - 1 do
+    let node = ops.(i).Program.node in
+    if binds spec node then begin
+      let outs = (Spec.node spec node).Spec.outputs in
+      cap := !cap + List.length outs;
+      n_types := types_bound !n_types outs
+    end
+  done;
+  let ty = Array.make !cap (-1) and live = Array.make !n_types 0 in
   let path = Array.make (n + 1) 0 in
-  let value_ty = ref [||] in
-  let alive = ref [||] in
-  let mask () =
-    let m = ref 0 in
-    Array.iteri (fun i ty -> if !alive.(i) then m := !m lor (1 lsl ty)) !value_ty;
-    !m
-  in
-  Array.iteri
-    (fun i (op : Program.op) ->
-      (match node_of p.Program.spec op.Program.node with
-      | Some nt when nt.Spec.nt_id <> Spec.snapshot_node_id ->
-        let n_borrows = List.length nt.Spec.borrows in
-        Array.iteri
-          (fun slot v ->
-            if slot >= n_borrows && v >= 0 && v < Array.length !alive then
-              !alive.(v) <- false)
-          op.Program.args;
-        let outs = Array.of_list (List.map (fun e -> e.Spec.et_id) nt.Spec.outputs) in
-        value_ty := Array.append !value_ty outs;
-        alive := Array.append !alive (Array.make (Array.length outs) true)
-      | _ -> ());
-      path.(i + 1) <- mask ())
-    p.Program.ops;
+  let n_values = ref 0 and mask = ref 0 in
+  for i = 0 to n - 1 do
+    let op = ops.(i) in
+    if binds spec op.Program.node then begin
+      let nt = Spec.node spec op.Program.node in
+      let args = op.Program.args in
+      for slot = List.length nt.Spec.borrows to Array.length args - 1 do
+        let v = args.(slot) in
+        if v >= 0 && v < !n_values && ty.(v) >= 0 then begin
+          let t = ty.(v) in
+          ty.(v) <- -1;
+          live.(t) <- live.(t) - 1;
+          if live.(t) = 0 then mask := !mask land lnot (1 lsl t)
+        end
+      done;
+      n_values := push_live ty live !n_values nt.Spec.outputs;
+      mask :=
+        List.fold_left (fun m (e : Spec.edge_ty) -> m lor (1 lsl e.Spec.et_id)) !mask
+          nt.Spec.outputs
+    end;
+    path.(i + 1) <- !mask
+  done;
   path
 
 let check ?udp (p : Program.t) : Diag.t list =

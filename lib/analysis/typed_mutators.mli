@@ -14,10 +14,17 @@
       steer toward a random reachable abstract state (a state-reaching
       prefix), with data fields drawn from the token dictionary.
 
-    Every candidate is verified offline with {!Verifier} before it is
-    returned — generate, verify, execute clean programs only. Both
+    Every candidate is verified offline with {!Verifier.is_clean} before
+    it is returned — generate, verify, execute clean programs only. Both
     mutators return [None] (engine falls back to havoc) when no
-    candidate survives. *)
+    candidate survives.
+
+    Both allocate only for what a candidate contains. Splice counts the
+    equal-state cut pairs, draws over the count and walks to the drawn
+    pair (ordered by program cut, then donor cut); generate keeps its
+    environment in int arrays (a value table and live values per edge
+    type). Each makes the draws, in the order, of the list-based
+    versions they replaced. *)
 
 val generative : Nyx_spec.Spec.t -> bool
 (** Whether the generator is armed for [spec]: false exactly when the
@@ -32,8 +39,9 @@ val splice_mutator : Nyx_spec.Mutation_engine.mutator
 val generate_mutator : Nyx_spec.Spec.t -> Nyx_spec.Mutation_engine.mutator
 (** Name ["generate"], base weight 0.35 (tuned on the mutation_matrix
     bench: whole-program synthesis pays off as occasional exploration,
-    not as the main course). Precomputes the state graph and the
-    constructibility fixpoint for [spec].
+    not as the main course). Precomputes the state graph, the
+    constructibility fixpoint and each usable node's needs (live values
+    per input edge type) for [spec].
     @raise Invalid_argument when [generative spec] is false. *)
 
 val mutators : Nyx_spec.Spec.t -> Nyx_spec.Mutation_engine.mutator list

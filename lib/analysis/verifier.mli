@@ -27,7 +27,8 @@ val errors : Nyx_spec.Program.t -> Diag.t list
     program (modulo the first-error-only difference). *)
 
 val is_clean : Nyx_spec.Program.t -> bool
-(** [errors p = []]. *)
+(** [errors p = []], decided as [Result.is_ok (Program.validate p)]: one
+    pass over a value table that builds no diagnostic. *)
 
 val hotspot_min_bound : int
 (** Smallest [max_len] the [data-at-bound] hotspot warning applies to. *)

@@ -1,70 +1,93 @@
 type op = { node : int; args : int array; data : bytes array }
 type t = { spec : Spec.t; ops : op array }
 
-let op_inputs (nt : Spec.node_ty) = nt.Spec.borrows @ nt.Spec.consumes
+(* Value tables. Output values are numbered in op order; a table holds,
+   per value, the edge-type id it was produced with, or -1 once it is
+   consumed, so "newest first" means highest index first. The helpers
+   take their operands as arguments rather than closing over them, so
+   calling one allocates nothing. *)
 
+(* Values the known ops of [ops] output: the size of a value table. *)
+let value_capacity spec ops =
+  let n_nodes = Spec.node_count spec in
+  let cap = ref 0 in
+  for i = 0 to Array.length ops - 1 do
+    let node = ops.(i).node in
+    if node >= 0 && node < n_nodes then
+      cap := !cap + List.length (Spec.node spec node).Spec.outputs
+  done;
+  !cap
+
+(* Edge type of input slot [i]: the borrows come first, then the
+   consumes. *)
+let slot_edge (nt : Spec.node_ty) n_borrows i =
+  if i < n_borrows then List.nth nt.Spec.borrows i
+  else List.nth nt.Spec.consumes (i - n_borrows)
+
+let slot_ty nt n_borrows i = (slot_edge nt n_borrows i).Spec.et_id
+
+let rec push_outputs ty n = function
+  | [] -> n
+  | (et : Spec.edge_ty) :: rest ->
+    ty.(n) <- et.Spec.et_id;
+    push_outputs ty (n + 1) rest
+
+(* Edge type of value [v], counting outputs from op [opi] on. For error
+   messages only: every op before the failing one is known. *)
+let rec value_edge t v opi =
+  let outs = (Spec.node t.spec t.ops.(opi).node).Spec.outputs in
+  let k = List.length outs in
+  if v < k then List.nth outs v else value_edge t (v - k) (opi + 1)
+
+(* Index of the first data field over its bound, or -1. *)
+let rec long_field data i = function
+  | [] -> -1
+  | (dt : Spec.data_ty) :: rest ->
+    if Bytes.length data.(i) > dt.Spec.max_len then i else long_field data (i + 1) rest
+
+exception Invalid of string
+
+let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
+
+(* One pass over the ops and a value table, stopping at the first
+   problem; messages are formatted only then. A consume slot takes its
+   value out of the table as soon as it is checked, so a later slot of
+   the same op cannot use it again. *)
 let validate t =
-  let open Spec in
-  let exception Bad of string in
+  let ty = Array.make (value_capacity t.spec t.ops) (-1) in
+  let n_values = ref 0 and snapshots = ref 0 in
   try
-    let value_types = ref [] (* newest first: (index, edge_ty, consumed ref) *) in
-    let n_values = ref 0 in
-    let snapshots = ref 0 in
-    Array.iteri
-      (fun opi op ->
-        let nt =
-          try Spec.node t.spec op.node
-          with Invalid_argument m -> raise (Bad m)
-        in
-        if nt.nt_id = Spec.snapshot_node_id then begin
-          incr snapshots;
-          if !snapshots > 1 then raise (Bad "multiple snapshot opcodes");
-          if Array.length op.args <> 0 || Array.length op.data <> 0 then
-            raise (Bad "snapshot opcode carries no args or data")
-        end;
-        let inputs = op_inputs nt in
-        if Array.length op.args <> List.length inputs then
-          raise (Bad (Printf.sprintf "op %d (%s): wrong arity" opi nt.nt_name));
-        List.iteri
-          (fun i expected ->
-            let idx = op.args.(i) in
-            if idx < 0 || idx >= !n_values then
-              raise (Bad (Printf.sprintf "op %d (%s): arg %d out of range" opi nt.nt_name i));
-            let _, ty, consumed =
-              List.find (fun (v, _, _) -> v = idx) !value_types
-            in
-            if !consumed then
-              raise (Bad (Printf.sprintf "op %d (%s): value %d already consumed" opi nt.nt_name idx));
-            if ty.et_id <> expected.et_id then
-              raise
-                (Bad
-                   (Printf.sprintf "op %d (%s): arg %d has type %s, expected %s" opi
-                      nt.nt_name i ty.et_name expected.et_name)))
-          inputs;
-        (* Mark consumed inputs. *)
-        let n_borrows = List.length nt.borrows in
-        List.iteri
-          (fun i _ ->
-            let idx = op.args.(n_borrows + i) in
-            let _, _, consumed = List.find (fun (v, _, _) -> v = idx) !value_types in
-            consumed := true)
-          nt.consumes;
-        if Array.length op.data <> List.length nt.data then
-          raise (Bad (Printf.sprintf "op %d (%s): wrong data field count" opi nt.nt_name));
-        List.iteri
-          (fun i dt ->
-            if Bytes.length op.data.(i) > dt.max_len then
-              raise
-                (Bad (Printf.sprintf "op %d (%s): data field %d too long" opi nt.nt_name i)))
-          nt.data;
-        List.iter
-          (fun ty ->
-            value_types := (!n_values, ty, ref false) :: !value_types;
-            incr n_values)
-          nt.outputs)
-      t.ops;
+    for opi = 0 to Array.length t.ops - 1 do
+      let op = t.ops.(opi) in
+      let nt = try Spec.node t.spec op.node with Invalid_argument m -> raise (Invalid m) in
+      if nt.Spec.nt_id = Spec.snapshot_node_id then begin
+        incr snapshots;
+        if !snapshots > 1 then invalid "multiple snapshot opcodes";
+        if Array.length op.args <> 0 || Array.length op.data <> 0 then
+          invalid "snapshot opcode carries no args or data"
+      end;
+      let name = nt.Spec.nt_name in
+      let n_borrows = List.length nt.Spec.borrows in
+      let n_in = n_borrows + List.length nt.Spec.consumes in
+      if Array.length op.args <> n_in then invalid "op %d (%s): wrong arity" opi name;
+      for i = 0 to n_in - 1 do
+        let v = op.args.(i) in
+        if v < 0 || v >= !n_values then invalid "op %d (%s): arg %d out of range" opi name i;
+        if ty.(v) < 0 then invalid "op %d (%s): value %d already consumed" opi name v;
+        let expected = slot_edge nt n_borrows i in
+        if ty.(v) <> expected.Spec.et_id then
+          invalid "op %d (%s): arg %d has type %s, expected %s" opi name i
+            (value_edge t v 0).Spec.et_name expected.Spec.et_name;
+        if i >= n_borrows then ty.(v) <- -1
+      done;
+      if Array.length op.data <> List.length nt.Spec.data then
+        invalid "op %d (%s): wrong data field count" opi name;
+      let long = long_field op.data 0 nt.Spec.data in
+      if long >= 0 then invalid "op %d (%s): data field %d too long" opi name long;
+      n_values := push_outputs ty !n_values nt.Spec.outputs
+    done;
     Ok ()
-  with Bad m -> Error m
+  with Invalid m -> Error m
 
 let packet_count t =
   Array.fold_left
@@ -80,8 +103,19 @@ let snapshot_index t =
   scan 0 0
 
 let strip_snapshots t =
-  { t with ops = Array.of_seq (Seq.filter (fun op -> op.node <> Spec.snapshot_node_id)
-                                 (Array.to_seq t.ops)) }
+  let n = packet_count t in
+  if n = Array.length t.ops then t
+  else begin
+    let ops = Array.make n t.ops.(0) and k = ref 0 in
+    Array.iter
+      (fun op ->
+        if op.node <> Spec.snapshot_node_id then begin
+          ops.(!k) <- op;
+          incr k
+        end)
+      t.ops;
+    { t with ops }
+  end
 
 let with_snapshot_at t i =
   let t = strip_snapshots t in
@@ -92,15 +126,7 @@ let with_snapshot_at t i =
   in
   { t with ops }
 
-(* Repair helpers. Each takes its operands as arguments rather than
-   closing over them, so calling one allocates nothing. *)
-
-(* Edge-type id of input slot [i]: the borrows come first, then the
-   consumes. *)
-let slot_ty (nt : Spec.node_ty) n_borrows i =
-  (if i < n_borrows then List.nth nt.Spec.borrows i
-   else List.nth nt.Spec.consumes (i - n_borrows))
-    .Spec.et_id
+(* Repair helpers, allocation-free like the value-table helpers above. *)
 
 (* [v] is bound in one of the slots [j, i) of [args]. *)
 let rec bound_in args v j i = j < i && (args.(j) = v || bound_in args v (j + 1) i)
@@ -123,28 +149,15 @@ let fit_data (nt : Spec.node_ty) data =
          if Bytes.length d > dt.Spec.max_len then Bytes.sub d 0 dt.Spec.max_len else d)
        nt.Spec.data)
 
-let rec push_outputs ty n = function
-  | [] -> n
-  | (et : Spec.edge_ty) :: rest ->
-    ty.(n) <- et.Spec.et_id;
-    push_outputs ty (n + 1) rest
-
-(* One pass over the ops and an int value table: [ty.(v)] is the edge-type
-   id of output value [v], or -1 once [v] is consumed. Values are numbered
-   in output order, so "newest first" means highest index first. An op
-   whose bindings are all usable and whose data fit is kept physically;
-   only the ops that change, and the ops array when one does, are new. *)
+(* One pass over the ops and a value table. An op whose bindings are all
+   usable and whose data fit is kept physically; only the ops that
+   change, and the ops array when one does, are new. *)
 let repair ?rng t =
   let ops = t.ops in
   let n_ops = Array.length ops in
   let n_nodes = Spec.node_count t.spec in
   let known op = op.node >= 0 && op.node < n_nodes in
-  let cap = ref 0 in
-  for i = 0 to n_ops - 1 do
-    if known ops.(i) then
-      cap := !cap + List.length (Spec.node t.spec ops.(i).node).Spec.outputs
-  done;
-  let ty = Array.make !cap (-1) in
+  let ty = Array.make (value_capacity t.spec ops) (-1) in
   let n_values = ref 0 in
   (* Value [v] can fill slot [i] (of type [et]) of an op whose earlier
      slots hold [args]: it is live, of the right type, and not already

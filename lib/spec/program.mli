@@ -22,7 +22,10 @@ type t = { spec : Spec.t; ops : op array }
 val validate : t -> (unit, string) result
 (** Structural well-formedness: known nodes, arity, argument indices in
     range and type-correct, affine use (a consumed value is never used
-    again), data lengths within bounds, at most one snapshot opcode. *)
+    again, not even by a later slot of the op that consumes it), data
+    lengths within bounds, at most one snapshot opcode. One pass over an
+    int value table; it allocates the table and, on failure, the
+    message of the first problem. *)
 
 val packet_count : t -> int
 (** Number of ops excluding snapshot opcodes — the "input length" used by
@@ -37,6 +40,8 @@ val with_snapshot_at : t -> int -> t
     [i >= packet_count p] places it after the last packet (clamped). *)
 
 val strip_snapshots : t -> t
+(** The program without its snapshot ops. A program that has none is
+    returned as is (physically equal), allocating nothing. *)
 
 val repair : ?rng:Nyx_sim.Rng.t -> t -> t
 (** Rebind dangling or type-incorrect argument indices to available values

@@ -46,10 +46,12 @@ let prefix_preserved ~frozen (p : Program.t) (q : Program.t) =
   let n = min frozen (min (Array.length p.Program.ops) (Array.length q.Program.ops)) in
   Array.sub p.Program.ops 0 n = Array.sub q.Program.ops 0 n
 
+(* Judged by the verifier's diagnostics, not by [Verifier.is_clean]: the
+   mutators call that check themselves, so it cannot grade them. *)
 let clean_candidate ~frozen p = function
   | None -> true (* "no candidate from this angle" is always acceptable *)
   | Some q ->
-    Nyx_analysis.Verifier.is_clean q
+    Nyx_analysis.Verifier.errors q = []
     && Result.is_ok (Program.validate q)
     && prefix_preserved ~frozen p q
 

@@ -7,10 +7,11 @@
      [_slow] full-scan references (and with an independent model of the
      AFL hashing scheme) under randomized hit sequences; the indexed
      corpus makes bit-identical scheduling picks to a reimplementation
-     of the pre-change list-based corpus; the in-place mutators and the
-     one-pass [Program.repair] return what the list-based originals
-     returned and leave the RNG in the same state; the unboxed RNG
-     replays a boxed-[int64] splitmix64;
+     of the pre-change list-based corpus; the in-place mutators, the
+     one-pass [Program.repair] and the array-backed typed splice and
+     generate return what the list-based originals returned and leave
+     the RNG in the same state; the unboxed RNG replays a boxed-[int64]
+     splitmix64;
    - campaign identity: fixed-seed campaigns reproduce, field for field,
      the results recorded from the pre-change implementation (captured
      at commit 25b4f18, before the journal/array rewrite, and, for the
@@ -506,6 +507,245 @@ module Ref_mutation = struct
     repair ~rng candidate
 end
 
+(* Typed mutation: the pre-change [Typed_mutators.splice] and [generate],
+   finishing with the diagnostic-building verifier check, and
+   [Dataflow.state_path] and [Program.strip_snapshots], reproduced
+   verbatim (commit d9e0913). Their candidates and final RNG states must
+   equal the array-backed versions'. *)
+
+module Ref_typed = struct
+  open Nyx_spec
+  open Nyx_analysis
+
+  let strip_snapshots (t : Program.t) =
+    { t with Program.ops = Array.of_seq (Seq.filter (fun (op : Program.op) -> op.Program.node <> Spec.snapshot_node_id)
+                                 (Array.to_seq t.Program.ops)) }
+
+  let node_of spec id =
+    match Spec.node spec id with nt -> Some nt | exception Invalid_argument _ -> None
+
+  let state_path (p : Program.t) =
+    let n = Array.length p.Program.ops in
+    let path = Array.make (n + 1) 0 in
+    let value_ty = ref [||] in
+    let alive = ref [||] in
+    let mask () =
+      let m = ref 0 in
+      Array.iteri (fun i ty -> if !alive.(i) then m := !m lor (1 lsl ty)) !value_ty;
+      !m
+    in
+    Array.iteri
+      (fun i (op : Program.op) ->
+        (match node_of p.Program.spec op.Program.node with
+        | Some nt when nt.Spec.nt_id <> Spec.snapshot_node_id ->
+          let n_borrows = List.length nt.Spec.borrows in
+          Array.iteri
+            (fun slot v ->
+              if slot >= n_borrows && v >= 0 && v < Array.length !alive then
+                !alive.(v) <- false)
+            op.Program.args;
+          let outs = Array.of_list (List.map (fun e -> e.Spec.et_id) nt.Spec.outputs) in
+          value_ty := Array.append !value_ty outs;
+          alive := Array.append !alive (Array.make (Array.length outs) true)
+        | _ -> ());
+        path.(i + 1) <- mask ())
+      p.Program.ops;
+    path
+
+  let snap = Spec.snapshot_node_id
+
+  let usable_nodes spec =
+    let nodes = Spec.nodes spec in
+    let constructible, _ = Spec_lint.constructible_nodes nodes in
+    List.filter
+      (fun (nt : Spec.node_ty) -> nt.Spec.nt_id <> snap && constructible.(nt.Spec.nt_id))
+      (Array.to_list nodes)
+
+  let cap_ops max_ops ops =
+    if Array.length ops > max_ops then Array.sub ops 0 max_ops else ops
+
+  let is_clean p = Verifier.errors p = []
+
+  let finish rng (p : Program.t) ops =
+    let cand = Program.repair ~rng { p with Program.ops } in
+    if Array.length cand.Program.ops = 0 then None
+    else if is_clean cand then Some cand
+    else None
+
+  let splice rng (ctx : Mutation_engine.ctx) (p : Program.t) =
+    if Array.length ctx.mx_corpus = 0 then None
+    else begin
+      let frozen = min ctx.mx_frozen (Array.length p.Program.ops) in
+      let donor = Rng.choose rng ctx.mx_corpus in
+      let donor = strip_snapshots donor in
+      let dlen = Array.length donor.Program.ops in
+      if dlen = 0 then None
+      else begin
+        let sa = state_path p in
+        let sb = state_path donor in
+        let pairs = ref [] in
+        let n_pairs = ref 0 in
+        for i = Array.length p.Program.ops downto frozen do
+          for j = dlen - 1 downto 0 do
+            if sa.(i) = sb.(j) then begin
+              pairs := (i, j) :: !pairs;
+              incr n_pairs
+            end
+          done
+        done;
+        if !n_pairs = 0 then None
+        else begin
+          let cuts = Array.of_list !pairs in
+          let i, j = cuts.(Rng.int rng !n_pairs) in
+          let ops =
+            Array.append
+              (Array.sub p.Program.ops 0 i)
+              (Array.sub donor.Program.ops j (dlen - j))
+          in
+          finish rng p (cap_ops ctx.mx_max_ops ops)
+        end
+      end
+    end
+
+  type env = { mutable avail : (int * Spec.edge_ty) list; mutable n_values : int }
+
+  let env_mask env =
+    List.fold_left (fun m (_, (et : Spec.edge_ty)) -> m lor (1 lsl et.Spec.et_id)) 0
+      env.avail
+
+  let env_of_prefix spec ops =
+    let env = { avail = []; n_values = 0 } in
+    Array.iter
+      (fun (op : Program.op) ->
+        let nt = Spec.node spec op.Program.node in
+        let n_borrows = List.length nt.Spec.borrows in
+        List.iteri
+          (fun i _ ->
+            let v = op.Program.args.(n_borrows + i) in
+            env.avail <- List.filter (fun (v', _) -> v' <> v) env.avail)
+          nt.Spec.consumes;
+        List.iter
+          (fun ty ->
+            env.avail <- (env.n_values, ty) :: env.avail;
+            env.n_values <- env.n_values + 1)
+          nt.Spec.outputs)
+      ops;
+    env
+
+  let enabled env (nt : Spec.node_ty) =
+    let have et =
+      List.length
+        (List.filter (fun (_, (e : Spec.edge_ty)) -> e.Spec.et_id = et) env.avail)
+    in
+    List.for_all (fun (et : Spec.edge_ty) -> have et.Spec.et_id >= 1) nt.Spec.borrows
+    && List.for_all
+         (fun (et : Spec.edge_ty) ->
+           let needed =
+             List.length
+               (List.filter
+                  (fun (e : Spec.edge_ty) -> e.Spec.et_id = et.Spec.et_id)
+                  nt.Spec.consumes)
+           in
+           have et.Spec.et_id >= needed)
+         nt.Spec.consumes
+
+  let emit rng dict env (nt : Spec.node_ty) =
+    let pick_of ty exclude =
+      let cands =
+        List.filter
+          (fun (v, (e : Spec.edge_ty)) ->
+            e.Spec.et_id = ty.Spec.et_id && not (List.mem v exclude))
+          env.avail
+      in
+      fst (Rng.choose_list rng cands)
+    in
+    let borrow_args =
+      List.map (fun ty -> pick_of ty []) nt.Spec.borrows
+    in
+    let consumed = ref [] in
+    let consume_args =
+      List.map
+        (fun ty ->
+          let v = pick_of ty !consumed in
+          consumed := v :: !consumed;
+          v)
+        nt.Spec.consumes
+    in
+    env.avail <- List.filter (fun (v, _) -> not (List.mem v !consumed)) env.avail;
+    let data =
+      Array.of_list
+        (List.map
+           (fun (dt : Spec.data_ty) ->
+             if dict <> [] && Rng.chance rng 0.5 then begin
+               let tok = Rng.choose_list rng dict in
+               if Bytes.length tok > dt.Spec.max_len then
+                 Bytes.sub tok 0 dt.Spec.max_len
+               else tok
+             end
+             else Rng.bytes rng (Rng.int rng (min 64 (dt.Spec.max_len + 1))))
+           nt.Spec.data)
+    in
+    List.iter
+      (fun ty ->
+        env.avail <- (env.n_values, ty) :: env.avail;
+        env.n_values <- env.n_values + 1)
+      nt.Spec.outputs;
+    { Program.node = nt.Spec.nt_id; args = Array.of_list (borrow_args @ consume_args); data }
+
+  let generate ~usable ~reachable rng (ctx : Mutation_engine.ctx) (p : Program.t) =
+    let frozen = min ctx.mx_frozen (Array.length p.Program.ops) in
+    let room = ctx.mx_max_ops - frozen in
+    if room <= 0 then None
+    else begin
+      let prefix = Array.sub p.Program.ops 0 frozen in
+      let env = env_of_prefix p.Program.spec prefix in
+      let target =
+        if Array.length reachable > 0 && Rng.bool rng then
+          Some (Rng.choose rng reachable)
+        else None
+      in
+      let len = 1 + Rng.int rng room in
+      let out = ref [] in
+      (try
+         for _ = 1 to len do
+           let en = List.filter (enabled env) usable in
+           if en = [] then raise Exit;
+           let nt =
+             match target with
+             | Some tgt ->
+               let missing = tgt land lnot (env_mask env) in
+               let productive =
+                 List.filter
+                   (fun (nt : Spec.node_ty) ->
+                     List.exists
+                       (fun (et : Spec.edge_ty) ->
+                         missing land (1 lsl et.Spec.et_id) <> 0)
+                       nt.Spec.outputs)
+                   en
+               in
+               if productive <> [] && Rng.chance rng 0.75 then
+                 Rng.choose_list rng productive
+               else Rng.choose_list rng en
+             | None -> Rng.choose_list rng en
+           in
+           out := emit rng ctx.mx_dict env nt :: !out
+         done
+       with Exit -> ());
+      match !out with
+      | [] -> None
+      | ops ->
+        finish rng p (Array.append prefix (Array.of_list (List.rev ops)))
+    end
+
+  let generate_fn spec =
+    let usable = usable_nodes spec in
+    let graph = State_graph.build spec in
+    let reachable =
+      Array.of_list (List.filter (fun m -> m <> 0) (State_graph.reachable graph))
+    in
+    generate ~usable ~reachable
+end
+
 (* The splitmix64 generator as it was before its state moved into
    [Bytes]: a boxed [int64] field. *)
 module Ref_rng = struct
@@ -708,6 +948,141 @@ let prop_havoc_matches_reference =
       && Bytes.to_string input = data
       && match fast with Ok b -> b != input | Error _ -> true)
 
+(* Typed mutation, over op soup and over the registry's seed corpora:
+   the array-backed splice and generate make the reference's candidates
+   with the reference's draws, and the state path and the snapshot strip
+   are unchanged. *)
+
+module ME = Nyx_spec.Mutation_engine
+module TM = Nyx_analysis.Typed_mutators
+module Dataflow = Nyx_analysis.Dataflow
+module Verifier = Nyx_analysis.Verifier
+
+(* domain-safe: test-only lazy fixture, forced on a single domain *)
+let registry_corpora =
+  lazy
+    (let ns = Campaign.net_spec () in
+     Array.of_list
+       (List.map
+          (fun e -> Array.of_list (Nyx_targets.Registry.seed_programs e ns))
+          (Nyx_targets.Registry.all ())))
+
+(* One target's seeds and havoc mutants of them, each with or without a
+   snapshot op: the program frozen at its snapshot or anywhere, an op
+   cap that may cut it, and a corpus of one to six such entries. *)
+let gen_registry_case st =
+  let open QCheck.Gen in
+  let corpora = Lazy.force registry_corpora in
+  let seeds = corpora.(int_bound (Array.length corpora - 1) st) in
+  let entry () =
+    let p = seeds.(int_bound (Array.length seeds - 1) st) in
+    let p =
+      if bool st then Nyx_spec.Mutator.mutate (Rng.create (int st)) ~corpus:seeds p else p
+    in
+    if bool st then Program.with_snapshot_at p (int_bound (Program.packet_count p) st) else p
+  in
+  let c_prog = entry () in
+  let c_frozen =
+    match Nyx_spec.Interp.snapshot_op_index c_prog with
+    | Some i when bool st -> i + 1
+    | _ -> int_bound 6 st
+  in
+  let c_max_ops =
+    if bool st then 25 else int_range 1 (Array.length c_prog.Program.ops + 4) st
+  in
+  let c_dict =
+    list_size (int_range 0 3) (map Bytes.of_string (string_size ~gen:printable (int_range 0 8))) st
+  in
+  let c_corpus = Array.init (1 + int_bound 5 st) (fun _ -> entry ()) in
+  let c_seed = int st in
+  { c_seed; c_prog; c_frozen; c_max_ops; c_dict; c_corpus }
+
+let arb_typed_case =
+  QCheck.make ~print:print_case QCheck.Gen.(frequency [ (1, gen_case); (1, gen_registry_case) ])
+
+(* The candidate, serialized, or the exception; and the final RNG state. *)
+let typed_outcome seed f =
+  let r, s = outcome seed f in
+  (Result.map (Option.map Program.serialize) r, s)
+
+let prop_typed_matches_reference =
+  QCheck.Test.make ~name:"typed splice/generate == list-based reference" ~count:600
+    arb_typed_case (fun c ->
+      let ctx =
+        {
+          ME.mx_frozen = c.c_frozen;
+          mx_max_ops = c.c_max_ops;
+          mx_dict = c.c_dict;
+          mx_corpus = c.c_corpus;
+        }
+      in
+      let same f g p =
+        typed_outcome c.c_seed (fun rng -> f rng ctx p)
+        = typed_outcome c.c_seed (fun rng -> g rng ctx p)
+      in
+      (* The engine only mutates valid programs; splice takes any. *)
+      let valid = Program.repair c.c_prog in
+      let spec = c.c_prog.Program.spec in
+      same TM.splice_mutator.ME.m_fn Ref_typed.splice c.c_prog
+      && same TM.splice_mutator.ME.m_fn Ref_typed.splice valid
+      && same (TM.generate_mutator spec).ME.m_fn (Ref_typed.generate_fn spec) valid
+      && List.for_all
+           (fun q ->
+             let stripped = Program.strip_snapshots q in
+             Dataflow.state_path q = Ref_typed.state_path q
+             && Program.serialize stripped = Program.serialize (Ref_typed.strip_snapshots q)
+             && (stripped == q) = (Program.packet_count q = Array.length q.Program.ops))
+           (c.c_prog :: valid :: Array.to_list c.c_corpus))
+
+(* [join] consumes two files: binding one file to both of its slots uses
+   it after it is consumed. *)
+let test_validate_double_consume () =
+  let op name args data =
+    {
+      Program.node = (Spec.node_by_name rich_spec name).Spec.nt_id;
+      args;
+      data = Array.map Bytes.of_string data;
+    }
+  in
+  let p =
+    {
+      Program.spec = rich_spec;
+      ops = [| op "open" [||] [| "" |]; op "list" [| 0 |] [| ""; "" |]; op "join" [| 1; 1 |] [||] |];
+    }
+  in
+  Alcotest.(check bool) "validate rejects" true (Result.is_error (Program.validate p));
+  Alcotest.(check bool) "parse rejects" true
+    (Result.is_error (Program.parse rich_spec (Program.serialize p)));
+  Alcotest.(check (list string)) "verifier errors" [ "affine-use-after-consume" ]
+    (List.map (fun (d : Nyx_analysis.Diag.t) -> d.Nyx_analysis.Diag.code) (Verifier.errors p));
+  Alcotest.(check (array int)) "repair rebinds" [| 1; 2 |]
+    (Program.repair p).Program.ops.(2).Program.args
+
+(* [p] with one arg slot of one op bound to what another slot of the same
+   op holds: a double consume, a borrow of a consumed value, a type
+   mismatch, or harmless, depending on the slots. *)
+let alias seed (p : Program.t) =
+  let rng = Rng.create seed in
+  let ops = Array.copy p.Program.ops in
+  let n = Array.length ops in
+  (if n > 0 then
+     let i = Rng.int rng n in
+     let args = Array.copy ops.(i).Program.args in
+     let k = Array.length args in
+     if k >= 2 then begin
+       args.(Rng.int rng k) <- args.(Rng.int rng k);
+       ops.(i) <- { (ops.(i)) with Program.args }
+     end);
+  { p with Program.ops }
+
+let prop_validate_iff_no_errors =
+  QCheck.Test.make ~name:"validate accepts iff the verifier finds no error" ~count:1000
+    arb_case (fun c ->
+      let valid = Program.repair c.c_prog in
+      List.for_all
+        (fun p -> Result.is_ok (Program.validate p) = (Verifier.errors p = []))
+        (c.c_prog :: valid :: alias c.c_seed valid :: Array.to_list c.c_corpus))
+
 (* A fixed 22-op lightftp-style program: a connection, ten packets, the
    snapshot opcode, ten more packets. *)
 let lightftp_program () =
@@ -750,6 +1125,73 @@ let test_mutate_alloc_bound () =
   Alcotest.(check int64) "same final Rng.state" ref_state state;
   if words > 1_000.0 then
     Alcotest.failf "Mutator.mutate allocates %.1f words per call (bound 1000)" words
+
+(* CI guard: the typed mutators allocate for what a candidate contains,
+   like havoc. Average minor words per call over 1,000 calls on a fixed
+   64-entry corpus: pure-ftpd's seeds and chained havoc mutants of them,
+   each with a snapshot op after half its packets and frozen there.
+   Measured (OCaml 5.1): splice 68.9, generate 134.4, typed
+   [Mutation_engine.mutate] 116.0; before the value-table rewrite,
+   1,041.6, 2,439.1 and 866.4. Each bound is the measured value plus 25%
+   for other compiler versions. *)
+let typed_word_bounds = [ ("splice", 86); ("generate", 168); ("typed mutate", 145) ]
+
+let test_typed_alloc_bound () =
+  let entry = Option.get (Nyx_targets.Registry.find "pure-ftpd") in
+  let seeds =
+    Array.of_list (Nyx_targets.Registry.seed_programs entry (Campaign.net_spec ()))
+  in
+  let rng = Rng.create 3 in
+  let grown = Array.make 64 seeds.(0) in
+  for i = 0 to 63 do
+    grown.(i) <-
+      (if i < Array.length seeds then seeds.(i)
+       else Nyx_spec.Mutator.mutate rng ~corpus:seeds grown.(Rng.int rng i))
+  done;
+  let corpus =
+    Array.map (fun p -> Program.with_snapshot_at p (Program.packet_count p / 2)) grown
+  in
+  let dict =
+    List.map Bytes.of_string
+      entry.Nyx_targets.Registry.target.Nyx_targets.Target.info.Nyx_targets.Target.dict
+  in
+  let ctxs =
+    Array.map
+      (fun p ->
+        {
+          ME.mx_frozen = Option.get (Nyx_spec.Interp.snapshot_op_index p) + 1;
+          mx_max_ops = 25;
+          mx_dict = dict;
+          mx_corpus = corpus;
+        })
+      corpus
+  in
+  let spec = corpus.(0).Program.spec in
+  let engine = ME.create ~name:"typed" (TM.mutators spec) in
+  let generate = (TM.generate_mutator spec).ME.m_fn in
+  let calls = 1_000 in
+  let words f =
+    let rng = Rng.create 1 in
+    let w0 = Gc.minor_words () in
+    for i = 0 to calls - 1 do
+      let k = i mod Array.length corpus in
+      ignore (Sys.opaque_identity (f rng ctxs.(k) corpus.(k)))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let splice = words TM.splice_mutator.ME.m_fn in
+  let generate = words generate in
+  let mutate = words (fun rng ctx p -> Some (ME.mutate engine rng ctx p)) in
+  let over =
+    List.filter_map
+      (fun (name, words) ->
+        let bound = List.assoc name typed_word_bounds in
+        if words > float_of_int bound then
+          Some (Printf.sprintf "%s allocates %.1f words per call (bound %d)" name words bound)
+        else None)
+      [ ("splice", splice); ("generate", generate); ("typed mutate", mutate) ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
 
 (* CI guard: a suffix execution allocates for what the target does, not
    for host bookkeeping around it (edge-id strings, poll lists, decoding
@@ -1028,7 +1470,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_repair_keeps_valid_ops;
           QCheck_alcotest.to_alcotest prop_mutator_matches_reference;
           QCheck_alcotest.to_alcotest prop_havoc_matches_reference;
+          QCheck_alcotest.to_alcotest prop_typed_matches_reference;
+          Alcotest.test_case "validate rejects a double consume" `Quick
+            test_validate_double_consume;
+          QCheck_alcotest.to_alcotest prop_validate_iff_no_errors;
           Alcotest.test_case "mutate allocation bound" `Quick test_mutate_alloc_bound;
+          Alcotest.test_case "typed mutation allocation bound" `Quick
+            test_typed_alloc_bound;
         ] );
       ( "exec allocation",
         [
