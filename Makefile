@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
+.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke trace-smoke perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
 
 all: check
 
@@ -27,8 +27,8 @@ lint:
 # vars), both smoke benches asserted crash-free under NYX_DOMAINS=4
 # (hotpath additionally fails if the before/after gears diverge or the
 # speedup drops below 2x), the static-vs-dynamic conformance gate, the
-# CLI's checkpoint resume and NYX_FAULTS handling, and the host-time
-# benchmark's output checks. The smoke benches run on small budgets, so
+# CLI's checkpoint resume and NYX_FAULTS handling, traced peer runs, and
+# the host-time benchmark's output checks. The smoke benches run on small budgets, so
 # they write under bench_out/ and leave the committed BENCH_parallel.json
 # and BENCH_hotpath.json (bench-smoke, bench-hotpath) alone: the tree
 # stays clean.
@@ -45,6 +45,7 @@ check:
 	$(MAKE) statecheck
 	$(MAKE) resume-smoke
 	$(MAKE) faults-env-smoke
+	$(MAKE) trace-smoke
 	$(MAKE) perfbench-check
 
 # Fault-injection smoke campaign (lib/resilience): runs a full campaign
@@ -94,6 +95,23 @@ faults-env-smoke:
 	{ NYX_FAULTS=wedge:0.5 $(FUZZ) | grep -q '^faults:' || { echo "NYX_FAULTS did not arm the plan"; exit 1; }; } && \
 	{ NYX_FAULTS=nonsense $(FUZZ) --faults wedge:0.5 | grep -q '^faults:' || { echo "--faults did not override NYX_FAULTS"; exit 1; }; } && \
 	{ NYX_FAULTS=nonsense $(FUZZ) -f aflnet > /dev/null || { echo "a baseline read NYX_FAULTS"; exit 1; }; }
+
+# A traced peer campaign prints what the untraced one prints, and every
+# fired encoder fault leaves one "peer-fault" trace instant with its
+# detail: fault details are formatted only while a trace sink is on, so
+# this run is the one that exercises that path.
+TRACE_SMOKE = fuzz lightftp --mode peer --peer-faults all:0.5 -b 6 -s 7
+
+trace-smoke:
+	dune build @all
+	T=$$(mktemp -d) && trap 'rm -rf "$$T"' EXIT && \
+	dune exec bin/nyx_net_fuzz.exe -- $(TRACE_SMOKE) > $$T/plain.out && \
+	NYX_TRACE=$$T/trace.jsonl dune exec bin/nyx_net_fuzz.exe -- $(TRACE_SMOKE) > $$T/traced.out && \
+	{ diff $$T/plain.out $$T/traced.out || { echo "trace-smoke: tracing changed stdout"; exit 1; }; } && \
+	fired=$$(sed -n 's/.* \([0-9][0-9]*\) encoder faults fired.*/\1/p' $$T/plain.out) && \
+	instants=$$(grep -c '"ev":"peer-fault"' $$T/trace.jsonl || true) && \
+	{ [ -n "$$fired" ] && [ "$$fired" = "$$instants" ] || { echo "trace-smoke: $$instants peer-fault instants, $$fired encoder faults fired"; exit 1; }; } && \
+	{ ! grep '"ev":"peer-fault"' $$T/trace.jsonl | grep -q '"detail":""' || { echo "trace-smoke: a peer-fault instant has an empty detail"; exit 1; }; }
 
 # Output checks of the host-time benchmark (perfbench/): crash replay,
 # same-seed passes, checkpoint round-trips, traced == untraced, fleets

@@ -68,7 +68,7 @@ let affecting ?(udp = false) (p : Program.t) =
       | _ -> taint_all ());
       let outs =
         match node_of p.Program.spec op.Program.node with
-        | Some nt -> List.length nt.Spec.outputs
+        | Some nt -> Array.length nt.Spec.output_ids
         | None -> 0
       in
       if outs > 0 then drained := Array.append !drained (Array.make outs false))
@@ -85,18 +85,8 @@ let feasible_boundaries ?udp (p : Program.t) =
   List.filter (fun b -> aff.(b - 1)) (List.init (max 0 (n - 1)) (fun i -> i + 1))
 
 (* [1 + the largest edge-type id] over [edges], at least [acc]. *)
-let rec types_bound acc = function
-  | [] -> acc
-  | (e : Spec.edge_ty) :: rest -> types_bound (max acc (e.Spec.et_id + 1)) rest
-
-(* Append values of types [edges] to the table [ty] from index [n] on,
-   counting each in [live]; the new value count. *)
-let rec push_live ty live n = function
-  | [] -> n
-  | (e : Spec.edge_ty) :: rest ->
-    ty.(n) <- e.Spec.et_id;
-    live.(e.Spec.et_id) <- live.(e.Spec.et_id) + 1;
-    push_live ty live (n + 1) rest
+let types_bound acc edges =
+  Array.fold_left (fun acc et -> if et + 1 > acc then et + 1 else acc) acc edges
 
 (* A known opcode other than the snapshot: one that binds and outputs. *)
 let binds spec node =
@@ -115,8 +105,8 @@ let state_path (p : Program.t) =
   for i = 0 to n - 1 do
     let node = ops.(i).Program.node in
     if binds spec node then begin
-      let outs = (Spec.node spec node).Spec.outputs in
-      cap := !cap + List.length outs;
+      let outs = (Spec.node spec node).Spec.output_ids in
+      cap := !cap + Array.length outs;
       n_types := types_bound !n_types outs
     end
   done;
@@ -128,7 +118,7 @@ let state_path (p : Program.t) =
     if binds spec op.Program.node then begin
       let nt = Spec.node spec op.Program.node in
       let args = op.Program.args in
-      for slot = List.length nt.Spec.borrows to Array.length args - 1 do
+      for slot = nt.Spec.n_borrows to Array.length args - 1 do
         let v = args.(slot) in
         if v >= 0 && v < !n_values && ty.(v) >= 0 then begin
           let t = ty.(v) in
@@ -137,10 +127,15 @@ let state_path (p : Program.t) =
           if live.(t) = 0 then mask := !mask land lnot (1 lsl t)
         end
       done;
-      n_values := push_live ty live !n_values nt.Spec.outputs;
-      mask :=
-        List.fold_left (fun m (e : Spec.edge_ty) -> m lor (1 lsl e.Spec.et_id)) !mask
-          nt.Spec.outputs
+      (* Each output's value goes into the table, counted live. *)
+      let outs = nt.Spec.output_ids in
+      for k = 0 to Array.length outs - 1 do
+        let et = outs.(k) in
+        ty.(!n_values + k) <- et;
+        live.(et) <- live.(et) + 1;
+        mask := !mask lor (1 lsl et)
+      done;
+      n_values := !n_values + Array.length outs
     end;
     path.(i + 1) <- !mask
   done;

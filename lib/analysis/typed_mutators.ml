@@ -88,8 +88,6 @@ let splice_mutator =
    once per spec. *)
 type gnode = {
   g_nt : Spec.node_ty;
-  g_slots : int array;  (* edge-type id per input slot, borrows first *)
-  g_n_borrows : int;
   g_needs : int array;
       (* flattened (edge-type id, live values needed) pairs: borrows may
          share a value, consumes need distinct ones *)
@@ -111,12 +109,10 @@ let gnode (nt : Spec.node_ty) =
   in
   {
     g_nt = nt;
-    g_slots = Array.of_list (borrows @ consumes);
-    g_n_borrows = List.length borrows;
     g_needs =
       Array.of_list
         (List.concat_map (fun et -> [ et; need et ]) (List.sort_uniq compare (borrows @ consumes)));
-    g_out_mask = List.fold_left (fun m (e : Spec.edge_ty) -> m lor (1 lsl e.Spec.et_id)) 0 nt.Spec.outputs;
+    g_out_mask = Array.fold_left (fun m et -> m lor (1 lsl et)) 0 nt.Spec.output_ids;
   }
 
 (* The affine environment of a walk: a value table ([ty.(v)] = edge-type
@@ -130,13 +126,13 @@ let consume env v =
     env.ty.(v) <- -1
   end
 
-let rec push env = function
-  | [] -> ()
-  | (e : Spec.edge_ty) :: rest ->
-    env.ty.(env.n_values) <- e.Spec.et_id;
-    env.live.(e.Spec.et_id) <- env.live.(e.Spec.et_id) + 1;
-    env.n_values <- env.n_values + 1;
-    push env rest
+let push env outs =
+  for k = 0 to Array.length outs - 1 do
+    let et = outs.(k) in
+    env.ty.(env.n_values) <- et;
+    env.live.(et) <- env.live.(et) + 1;
+    env.n_values <- env.n_values + 1
+  done
 
 (* Replay the first [frozen] ops of [p] (assumed valid) to seed the
    environment with the prefix's live values, mirroring
@@ -145,17 +141,16 @@ let env_of_prefix w (p : Program.t) frozen extra =
   let spec = p.Program.spec and ops = p.Program.ops in
   let cap = ref extra in
   for i = 0 to frozen - 1 do
-    cap := !cap + List.length (Spec.node spec ops.(i).Program.node).Spec.outputs
+    cap := !cap + Array.length (Spec.node spec ops.(i).Program.node).Spec.output_ids
   done;
   let env = { ty = Array.make !cap (-1); live = Array.make w.w_types 0; n_values = 0 } in
   for i = 0 to frozen - 1 do
     let op = ops.(i) in
     let nt = Spec.node spec op.Program.node in
-    let n_borrows = List.length nt.Spec.borrows in
-    for slot = n_borrows to n_borrows + List.length nt.Spec.consumes - 1 do
+    for slot = nt.Spec.n_borrows to Array.length nt.Spec.slot_ids - 1 do
       consume env op.Program.args.(slot)
     done;
-    push env nt.Spec.outputs
+    push env nt.Spec.output_ids
   done;
   env
 
@@ -218,14 +213,15 @@ let rec fill_data rng dict data i = function
    slot draws once over its candidates, newest first; a consume slot's
    candidates exclude the values earlier consume slots took. *)
 let emit rng dict env g =
-  let nt = g.g_nt and n_borrows = g.g_n_borrows in
-  let n_in = Array.length g.g_slots in
+  let nt = g.g_nt in
+  let slots = nt.Spec.slot_ids and n_borrows = nt.Spec.n_borrows in
+  let n_in = Array.length slots in
   let args = Array.make n_in 0 in
   for i = 0 to n_in - 1 do
-    let et = g.g_slots.(i) in
+    let et = slots.(i) in
     let taken = ref 0 in
     for j = n_borrows to i - 1 do
-      if g.g_slots.(j) = et then incr taken
+      if slots.(j) = et then incr taken
     done;
     let k = Rng.int rng (env.live.(et) - !taken) in
     args.(i) <- nth_newest env et args n_borrows i k (env.n_values - 1)
@@ -233,9 +229,9 @@ let emit rng dict env g =
   for i = n_borrows to n_in - 1 do
     consume env args.(i)
   done;
-  let data = Array.make (List.length nt.Spec.data) Bytes.empty in
+  let data = Array.make nt.Spec.n_data Bytes.empty in
   fill_data rng dict data 0 nt.Spec.data;
-  push env nt.Spec.outputs;
+  push env nt.Spec.output_ids;
   { Program.node = nt.Spec.nt_id; args; data }
 
 (* Stands in for the ops a walk has not emitted yet. *)
@@ -295,7 +291,7 @@ let generate_mutator spec =
           (fun n nt -> List.fold_left (fun n (e : Spec.edge_ty) -> max n (e.Spec.et_id + 1)) n (edges nt))
           0 (Spec.nodes spec);
       w_max_out =
-        List.fold_left (fun n (nt : Spec.node_ty) -> max n (List.length nt.Spec.outputs)) 0 usable;
+        List.fold_left (fun n (nt : Spec.node_ty) -> max n (Array.length nt.Spec.output_ids)) 0 usable;
       (* Exclude the empty start state: reaching it requires no prefix. *)
       w_reachable =
         Array.of_list (List.filter (fun m -> m <> 0) (State_graph.reachable graph));

@@ -72,7 +72,7 @@ val run :
     CLI): instead of delivering program payloads as raw wire bytes, a
     scripted protocol-correct peer interprets each payload as an action
     selector plus an encoder-fault selector (see
-    {!Nyx_peer.Peer_script.decode_payload}), speaks the protocol with the
+    {!Nyx_peer.Peer_script.payload_of}), speaks the protocol with the
     target, and recovers from desyncs under supervision (bounded backoff,
     session restart, quarantine after repeated failures — partial results,
     never campaign failure). The peer's session state lives in the

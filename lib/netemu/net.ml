@@ -463,12 +463,12 @@ let connect_peer t ~port =
     end
 
 let sock_of_flow t fl =
-  match Hashtbl.find_opt t.st.flows fl with
-  | None -> invalid_arg (Printf.sprintf "Net: unknown flow %d" fl)
-  | Some sid -> (
-    match Hashtbl.find_opt t.st.socks sid with
-    | None -> invalid_arg (Printf.sprintf "Net: flow %d socket closed" fl)
-    | Some s -> s)
+  match Hashtbl.find t.st.flows fl with
+  | exception Not_found -> invalid_arg (Printf.sprintf "Net: unknown flow %d" fl)
+  | sid -> (
+    match Hashtbl.find t.st.socks sid with
+    | exception Not_found -> invalid_arg (Printf.sprintf "Net: flow %d socket closed" fl)
+    | s -> s)
 
 let inject_cost t len =
   match t.backend with
@@ -510,17 +510,25 @@ let close_peer t fl =
   s.peer_open <- false;
   s.eof_pending <- true
 
+(* [take fl s mine others older] drains flow [fl]'s replies from the
+   socket's newest-first queue: [older] is what is left to walk, [mine]
+   the flow's replies already seen (oldest first once the walk ends) and
+   [others] the rest (oldest first), which stay queued in order. When
+   every reply is the flow's, [others] is empty and reversing it
+   allocates nothing. *)
+let rec take fl s mine others = function
+  | [] ->
+    s.out_rev <- List.rev others;
+    mine
+  | ((f, data) as r) :: older ->
+    if f = fl then take fl s (data :: mine) others older else take fl s mine (r :: others) older
+
 let responses t fl =
-  let collect s =
-    let mine, rest = List.partition (fun (f, _) -> f = fl) (List.rev s.out_rev) in
-    s.out_rev <- List.rev rest;
-    List.map snd mine
-  in
   (* The flow's own socket plus any UDP socket that replied via sendto. *)
-  match Hashtbl.find_opt t.st.flows fl with
-  | Some sid when Hashtbl.mem t.st.socks sid -> collect (Hashtbl.find t.st.socks sid)
-  | _ ->
-    Hashtbl.fold (fun _ s acc -> acc @ collect s) t.st.socks []
+  match Hashtbl.find t.st.socks (Hashtbl.find t.st.flows fl) with
+  | s -> take fl s [] [] s.out_rev
+  | exception Not_found ->
+    Hashtbl.fold (fun _ s acc -> acc @ take fl s [] [] s.out_rev) t.st.socks []
 
 let outbound_flows t =
   Hashtbl.fold

@@ -32,13 +32,6 @@ type t = {
 
 let num_peer_sites = List.length Fault.peer_sites
 
-let peer_site_index site =
-  let rec go i = function
-    | [] -> invalid_arg "Peer_driver: not a peer site"
-    | s :: tl -> if s = site then i else go (i + 1) tl
-  in
-  go 0 Fault.peer_sites
-
 let create ?profile ~clock ~net ~runtime ~target script =
   {
     script;
@@ -80,10 +73,11 @@ let register_aux t aux =
 
 (* ------------------------------------------------------------------ *)
 
-let prof t f =
+(* [f t x], as a [Peer] span when profiling; no closure otherwise. *)
+let prof t f x =
   match t.profile with
-  | None -> f ()
-  | Some p -> Nyx_obs.Profile.span p Nyx_obs.Profile.Peer t.clock f
+  | None -> f t x
+  | Some p -> Nyx_obs.Profile.span p Nyx_obs.Profile.Peer t.clock (fun () -> f t x)
 
 let is_udp t = t.target.Nyx_targets.Target.info.Nyx_targets.Target.proto = Net.Udp
 
@@ -92,12 +86,17 @@ let is_client t =
 
 let port t = t.target.Nyx_targets.Target.info.Nyx_targets.Target.port
 
+(* The replies queued on the session's flow, as one byte string. A lone
+   reply is returned as is: the network no longer holds it. *)
 let drain t =
   match t.sess.s_flow with
   | None -> Bytes.empty
   | Some fl -> (
-    try Bytes.concat Bytes.empty (Net.responses t.net fl)
-    with Invalid_argument _ -> Bytes.empty)
+    match Net.responses t.net fl with
+    | [] -> Bytes.empty
+    | [ r ] -> r
+    | rs -> Bytes.concat Bytes.empty rs
+    | exception Invalid_argument _ -> Bytes.empty)
 
 let close_flow t =
   (match t.sess.s_flow with
@@ -187,8 +186,8 @@ let note_desync t ~what ~reconnect =
 let send_wire t wire =
   if is_udp t then begin
     match Net.udp_send_peer t.net ~port:(port t) ?flow:t.sess.s_flow wire with
-    | Some fl ->
-      t.sess.s_flow <- Some fl;
+    | Some _ as flow ->
+      t.sess.s_flow <- flow;
       Nyx_targets.Target.pump t.runtime
     | None -> ()
   end
@@ -202,73 +201,85 @@ let send_wire t wire =
       | () -> Nyx_targets.Target.pump t.runtime
       | exception Invalid_argument _ -> ())
 
-let handle_connect t =
+let handle_connect t () =
   t.sess.s_streak <- 0;
   t.sess.s_quar <- false;
   if not (open_session t) then note_desync t ~what:"connect" ~reconnect:false;
   [ 1 ]
 
-let encode_with_fault t msg site =
-  match (t.plan, site) with
-  | Some plan, Some s -> (
-    match Plan.fire plan s ~vns:(Nyx_sim.Clock.now_ns t.clock) with
+let rec send_all t = function
+  | [] -> ()
+  | w :: rest ->
+    send_wire t w;
+    send_all t rest
+
+(* Send an action's first message, with the fault of selector [sel]
+   (0 = none) when the plan fires it. *)
+let send_first t (msg : Peer_fault.message) sel =
+  match t.plan with
+  | Some plan when sel > 0 -> (
+    let site = Peer_script.selector_site sel in
+    match Plan.fire plan site ~vns:(Nyx_sim.Clock.now_ns t.clock) with
     | Some f ->
       let wires, detail = Peer_fault.apply f msg in
       (* By construction every peer fault is recovered: the supervision
          above restores the session, never the campaign. Count it now so
          an abort elsewhere can never leave it dangling. *)
       Plan.record_recovered plan f;
-      t.fired.(peer_site_index s) <- t.fired.(peer_site_index s) + 1;
+      t.fired.(sel - 1) <- t.fired.(sel - 1) + 1;
       if Nyx_obs.Trace.on () then
         Nyx_obs.Trace.instant
           ~vns:(Nyx_sim.Clock.now_ns t.clock)
           "peer-fault"
           [
-            ("site", Nyx_obs.Trace.Str (Fault.site_name s));
+            ("site", Nyx_obs.Trace.Str (Fault.site_name site));
             ("seq", Nyx_obs.Trace.Int f.Fault.seq);
             ("message", Nyx_obs.Trace.Str msg.Peer_fault.m_name);
             ("detail", Nyx_obs.Trace.Str detail);
           ];
-      wires
-    | None -> [ msg.Peer_fault.m_bytes ])
-  | _ -> [ msg.Peer_fault.m_bytes ]
+      send_all t wires
+    | None -> send_wire t msg.Peer_fault.m_bytes)
+  | _ -> send_wire t msg.Peer_fault.m_bytes
+
+let rec send_rest t = function
+  | [] -> ()
+  | (m : Peer_fault.message) :: rest ->
+    send_wire t m.Peer_fault.m_bytes;
+    send_rest t rest
 
 let handle_packet t data =
   let payload = if Array.length data > 0 then data.(0) else Bytes.empty in
-  if t.sess.s_quar then () (* quarantined: the peer stays silent *)
-  else
-    match Peer_script.decode_payload t.script payload with
-    | None -> ()
-    | Some (idx, site) ->
-      let action = t.script.Peer_script.p_actions.(idx) in
-      t.n_actions <- t.n_actions + 1;
-      let stage = t.sess.s_stage in
-      List.iteri
-        (fun i m ->
-          let wires =
-            if i = 0 then encode_with_fault t m site else [ m.Peer_fault.m_bytes ]
-          in
-          List.iter (send_wire t) wires)
-        (action.Peer_script.a_messages ~stage);
-      let resp = drain t in
-      if action.Peer_script.a_expect ~stage resp then begin
-        t.sess.s_stage <- action.Peer_script.a_next ~stage;
-        t.sess.s_streak <- 0
-      end
-      else note_desync t ~what:action.Peer_script.a_name ~reconnect:true
+  (* Quarantined, the peer stays silent; an empty payload is a no-op. *)
+  if t.sess.s_quar || Bytes.length payload = 0 then ()
+  else begin
+    let script = t.script in
+    let action = script.Peer_script.p_actions.(Peer_script.payload_action script payload) in
+    t.n_actions <- t.n_actions + 1;
+    let stage = t.sess.s_stage in
+    (match action.Peer_script.a_messages with
+    | [] -> ()
+    | m :: rest ->
+      send_first t m (Peer_script.payload_selector payload);
+      send_rest t rest);
+    if action.Peer_script.a_expect (drain t) then begin
+      t.sess.s_stage <- action.Peer_script.a_next ~stage;
+      t.sess.s_streak <- 0
+    end
+    else note_desync t ~what:action.Peer_script.a_name ~reconnect:true
+  end
 
-let handle_close t =
+let handle_close t () =
   close_flow t;
   t.sess.s_stage <- 0
 
 let handler t ~send:_ (nt : Nyx_spec.Spec.node_ty) _inputs data =
   match nt.Nyx_spec.Spec.nt_name with
-  | "connect" -> Some (prof t (fun () -> handle_connect t))
+  | "connect" -> Some (prof t handle_connect ())
   | "packet" ->
-    prof t (fun () -> handle_packet t data);
+    prof t handle_packet data;
     Some []
   | "close" ->
-    prof t (fun () -> handle_close t);
+    prof t handle_close ();
     Some []
   | _ -> None
 

@@ -31,10 +31,15 @@ type field = {
 
 type message = {
   m_name : string;
-  m_bytes : bytes;  (** the honest wire image *)
+  m_bytes : bytes;
+      (** the honest wire image. Never written: a script's messages are
+          built once and shared by every session and domain, and {!apply}
+          copies before any surgery. *)
   m_fields : field list;  (** annotations; out-of-range entries ignored *)
   m_reframe : (bytes -> bytes) option;
-      (** re-seal outer framing after the body changed length *)
+      (** re-seal outer framing after the body changed length. It is only
+          ever handed a private buffer, never [m_bytes], so it may write
+          into its argument. *)
 }
 
 val plain : string -> bytes -> message
@@ -44,9 +49,14 @@ val apply : Nyx_resilience.Fault.t -> message -> bytes list * string
 (** [apply fault msg] is the perturbed wire image(s) — a list because
     [Peer_duplicate] emits the message twice — plus a human-readable
     detail string for traces. Deterministic in [(fault.seq,
-    fault.site_seq, msg)]. Every transform degrades gracefully on
-    messages too small or unannotated for its preferred surgery (falling
-    back to a byte flip at worst), so it never raises on a peer site.
+    fault.site_seq, msg)]. The images are computed in one pass with the
+    values the detail reports; the detail is formatted only while a trace
+    sink is on ({!Nyx_obs.Trace.on}) and is [""] for most transforms
+    otherwise. An image may be [msg.m_bytes] itself (duplicate sends it
+    twice), so callers only read the images. Every transform degrades
+    gracefully on messages too small or unannotated for its preferred
+    surgery (falling back to a byte flip at worst), so it never raises on
+    a peer site.
     @raise Invalid_argument if [fault.site] is not a peer site. *)
 
 val parse_spec : string -> (Nyx_resilience.Plan.spec, string) result

@@ -1,8 +1,8 @@
 type action = {
   a_name : string;
-  a_messages : stage:int -> Peer_fault.message list;
+  a_messages : Peer_fault.message list;
   a_next : stage:int -> int;
-  a_expect : stage:int -> bytes -> bool;
+  a_expect : bytes -> bool;
 }
 
 type t = {
@@ -24,23 +24,42 @@ let msg ?(fields = []) ?reframe name bytes =
    state machine. Stages: 0 fresh, 1 USER sent, 2 logged in, 3 passive
    data channel requested. Expectations match on reply codes. *)
 
-let expect_code codes ~stage:_ resp =
-  let lines = String.split_on_char '\n' (Bytes.to_string resp) in
-  List.exists
-    (fun line ->
-      let line = String.trim line in
-      List.exists
-        (fun code -> String.length line >= 3 && String.sub line 0 3 = code)
-        codes)
-    lines
+(* [String.trim]'s blanks; a line never holds its own '\n'. *)
+let is_blank = function ' ' | '\t' | '\r' | '\012' | '\n' -> true | _ -> false
 
-let ftp_line ?(fields = []) name line =
-  msg ~fields name (Bytes.of_string (line ^ "\r\n"))
+let rec starts_with_code resp s = function
+  | [] -> false
+  | code :: rest ->
+    (String.length code = 3
+    && Bytes.get resp s = code.[0]
+    && Bytes.get resp (s + 1) = code.[1]
+    && Bytes.get resp (s + 2) = code.[2])
+    || starts_with_code resp s rest
 
-let ftp_cmd ?fields ~expect ~next name line =
+let rec line_end resp i =
+  if i >= Bytes.length resp || Bytes.get resp i = '\n' then i else line_end resp (i + 1)
+
+(* The line of [resp] that starts at [s], blanks trimmed, or a later one
+   starts with one of [codes]. *)
+let rec code_line codes resp s =
+  let e = line_end resp s in
+  let s' = ref s and e' = ref e in
+  while !s' < !e' && is_blank (Bytes.get resp !s') do
+    incr s'
+  done;
+  while !e' > !s' && is_blank (Bytes.get resp (!e' - 1)) do
+    decr e'
+  done;
+  (!e' - !s' >= 3 && starts_with_code resp !s' codes)
+  || (e < Bytes.length resp && code_line codes resp (e + 1))
+
+(* Scans the reply in place: no line, trimmed copy or prefix is built. *)
+let expect_code codes resp = code_line codes resp 0
+
+let ftp_cmd ?(fields = []) ~expect ~next name line =
   {
     a_name = name;
-    a_messages = (fun ~stage:_ -> [ ftp_line ?fields name line ]);
+    a_messages = [ msg ~fields name (Bytes.of_string (line ^ "\r\n")) ];
     a_next = next;
     a_expect = expect_code expect;
   }
@@ -114,7 +133,7 @@ let ftp_script ~extended target =
   {
     p_target = target;
     p_actions = ftp_actions ~extended;
-    p_banner = Some (fun b -> expect_code [ "220" ] ~stage:0 b);
+    p_banner = Some (expect_code [ "220" ]);
     p_quarantine_after = 3;
     p_seed_actions =
       (if extended then
@@ -216,46 +235,43 @@ let dtls_reply_is ?hs_type content_type resp =
   | None -> true
   | Some ty -> Bytes.length resp >= 14 && Char.code (Bytes.get resp 13) = ty
 
-let dtls_script () =
-  let act name messages ~next ~expect =
-    { a_name = name; a_messages = messages; a_next = next; a_expect = expect }
-  in
-  let always ~stage:_ _ = true in
+let act name messages ~next ~expect =
+  { a_name = name; a_messages = messages; a_next = next; a_expect = expect }
+
+(* Domain-safe: built once, at load, and only read afterwards. *)
+let dtls_script =
+  let always _ = true in
   {
     p_target = "tinydtls";
     p_actions =
       [|
         act "hello"
-          (fun ~stage:_ -> [ dtls_hello ~with_cookie:false ])
+          [ dtls_hello ~with_cookie:false ]
           ~next:(fun ~stage -> max stage 1)
-          ~expect:(fun ~stage:_ resp -> dtls_reply_is 22 resp);
+          ~expect:(fun resp -> dtls_reply_is 22 resp);
         act "hello-cookie"
-          (fun ~stage:_ -> [ dtls_hello ~with_cookie:true ])
+          [ dtls_hello ~with_cookie:true ]
           ~next:(fun ~stage:_ -> 2)
-          ~expect:(fun ~stage:_ resp -> dtls_reply_is ~hs_type:2 22 resp);
+          ~expect:(fun resp -> dtls_reply_is ~hs_type:2 22 resp);
         act "key-exchange"
-          (fun ~stage:_ ->
-            [ dtls_hs_msg "client-key-exchange" 16
-                (Bytes.of_string "client-key-exchange") ])
+          [ dtls_hs_msg "client-key-exchange" 16 (Bytes.of_string "client-key-exchange") ]
           ~next:(fun ~stage -> max stage 3)
-          ~expect:(fun ~stage:_ resp ->
-            Bytes.length resp >= 1 && Char.code (Bytes.get resp 0) = 20);
+          ~expect:(fun resp -> Bytes.length resp >= 1 && Char.code (Bytes.get resp 0) = 20);
         act "appdata"
-          (fun ~stage:_ -> [ dtls_raw "appdata" 23 (Bytes.of_string "hello-from-peer") ])
+          [ dtls_raw "appdata" 23 (Bytes.of_string "hello-from-peer") ]
           ~next:same
-          ~expect:(fun ~stage:_ resp ->
-            Bytes.length resp >= 1 && Char.code (Bytes.get resp 0) = 23);
+          ~expect:(fun resp -> Bytes.length resp >= 1 && Char.code (Bytes.get resp 0) = 23);
         act "certificate"
-          (fun ~stage:_ -> [ dtls_hs_msg "certificate" 11 (Bytes.make 16 '\000') ])
+          [ dtls_hs_msg "certificate" 11 (Bytes.make 16 '\000') ]
           ~next:same ~expect:always;
         act "finished"
-          (fun ~stage:_ -> [ dtls_hs_msg "finished" 20 (Bytes.make 12 'f') ])
+          [ dtls_hs_msg "finished" 20 (Bytes.make 12 'f') ]
           ~next:same ~expect:always;
         act "ccs"
-          (fun ~stage:_ -> [ dtls_raw "change-cipher-spec" 20 (Bytes.of_string "\x01") ])
+          [ dtls_raw "change-cipher-spec" 20 (Bytes.of_string "\x01") ]
           ~next:same ~expect:always;
         act "alert"
-          (fun ~stage:_ -> [ dtls_raw "alert" 21 (Bytes.of_string "\x02\x28") ])
+          [ dtls_raw "alert" 21 (Bytes.of_string "\x02\x28") ]
           ~next:(fun ~stage:_ -> 0)
           ~expect:always;
       |];
@@ -299,7 +315,7 @@ let mysql_msg ?(fields = []) name wire =
    auth-plugin-data length at payload offset 32 (wire offset 36) is the
    inner length the client trusts when filling its 21-byte scramble
    buffer — the planted over-read from the paper's §5.4 case study. *)
-let mysql_greeting () =
+let mysql_greeting =
   mysql_msg "server-greeting"
     ~fields:
       [
@@ -315,52 +331,38 @@ let mysql_payload_msg name seq payload =
     ~fields:[ field "payload" Peer_fault.Field 4 (Bytes.length payload) ]
     (mysql_frame seq payload)
 
-let mysql_script () =
-  let act name messages ~next ~expect =
-    { a_name = name; a_messages = messages; a_next = next; a_expect = expect }
-  in
-  let client_speaks ~stage:_ resp = Bytes.length resp >= 5 in
-  let client_silent ~stage:_ resp = Bytes.length resp = 0 in
+let mysql_script =
+  let client_speaks resp = Bytes.length resp >= 5 in
+  let client_silent resp = Bytes.length resp = 0 in
   {
     p_target = "mysql-client";
     p_actions =
       [|
-        act "greeting"
-          (fun ~stage:_ -> [ mysql_greeting () ])
-          ~next:(fun ~stage:_ -> 1)
-          ~expect:client_speaks;
+        act "greeting" [ mysql_greeting ] ~next:(fun ~stage:_ -> 1) ~expect:client_speaks;
         act "auth-ok"
-          (fun ~stage:_ ->
-            [ mysql_payload_msg "auth-ok" 2 (Bytes.of_string "\x00\x00\x00\x02\x00\x00\x00") ])
+          [ mysql_payload_msg "auth-ok" 2 (Bytes.of_string "\x00\x00\x00\x02\x00\x00\x00") ]
           ~next:(fun ~stage:_ -> 2)
           ~expect:client_speaks;
         act "auth-err"
-          (fun ~stage:_ ->
-            [ mysql_payload_msg "auth-err" 2
-                (Bytes.of_string "\xff\x15\x04#28000Access denied") ])
+          [ mysql_payload_msg "auth-err" 2 (Bytes.of_string "\xff\x15\x04#28000Access denied") ]
           ~next:same ~expect:client_silent;
         act "auth-switch"
-          (fun ~stage:_ ->
-            [ mysql_payload_msg "auth-switch" 2
-                (Bytes.of_string "\xfemysql_native_password\000") ])
+          [ mysql_payload_msg "auth-switch" 2 (Bytes.of_string "\xfemysql_native_password\000") ]
           ~next:same ~expect:client_speaks;
         act "result-columns"
-          (fun ~stage:_ -> [ mysql_payload_msg "result-columns" 1 (Bytes.of_string "\x05") ])
+          [ mysql_payload_msg "result-columns" 1 (Bytes.of_string "\x05") ]
           ~next:same ~expect:client_silent;
         act "result-row"
-          (fun ~stage:_ -> [ mysql_payload_msg "result-row" 1 (Bytes.of_string "\xfb") ])
+          [ mysql_payload_msg "result-row" 1 (Bytes.of_string "\xfb") ]
           ~next:same ~expect:client_silent;
         act "result-eof"
-          (fun ~stage:_ ->
-            [ mysql_payload_msg "result-eof" 1 (Bytes.of_string "\xfe\x00\x00\x02\x00") ])
+          [ mysql_payload_msg "result-eof" 1 (Bytes.of_string "\xfe\x00\x00\x02\x00") ]
           ~next:same ~expect:client_silent;
         act "result-err"
-          (fun ~stage:_ ->
-            [ mysql_payload_msg "result-err" 1
-                (Bytes.of_string "\xff\x15\x04#28000bad query") ])
+          [ mysql_payload_msg "result-err" 1 (Bytes.of_string "\xff\x15\x04#28000bad query") ]
           ~next:same ~expect:client_silent;
         act "many-columns"
-          (fun ~stage:_ -> [ mysql_payload_msg "many-columns" 1 (Bytes.of_string "\x20") ])
+          [ mysql_payload_msg "many-columns" 1 (Bytes.of_string "\x20") ]
           ~next:same ~expect:client_silent;
       |];
     p_banner = None;
@@ -370,14 +372,19 @@ let mysql_script () =
 
 (* ------------------------------------------------------------------ *)
 
-let find = function
-  | "lightftp" -> Some (ftp_script ~extended:false "lightftp")
-  | "proftpd" -> Some (ftp_script ~extended:true "proftpd")
-  | "tinydtls" -> Some (dtls_script ())
-  | "mysql-client" -> Some (mysql_script ())
-  | _ -> None
+(* Every script is built once, at load, and shared: by every campaign,
+   and by the fleet's domains. Domain-safe: nothing writes a script after
+   load; a fault copies a message's bytes before it changes them. *)
+let scripts =
+  [
+    ("lightftp", Some (ftp_script ~extended:false "lightftp"));
+    ("proftpd", Some (ftp_script ~extended:true "proftpd"));
+    ("tinydtls", Some dtls_script);
+    ("mysql-client", Some mysql_script);
+  ]
 
-let supported () = [ "lightftp"; "proftpd"; "tinydtls"; "mysql-client" ]
+let find name = Option.join (List.assoc_opt name scripts)
+let supported () = List.map fst scripts
 
 (* ------------------------------------------------------------------ *)
 (* Peer-mode payload codec: byte 0 selects the action, byte 1 the
@@ -390,18 +397,15 @@ let payload_of ?(fault = 0) action =
   Bytes.set b 1 (Char.chr (fault land 0xff));
   b
 
-let decode_payload t payload =
-  if Bytes.length payload = 0 then None
-  else begin
-    let action = Char.code (Bytes.get payload 0) mod Array.length t.p_actions in
-    let sel =
-      if Bytes.length payload >= 2 then Char.code (Bytes.get payload 1) mod 7 else 0
-    in
-    let site =
-      if sel = 0 then None else List.nth_opt Nyx_resilience.Fault.peer_sites (sel - 1)
-    in
-    Some (action, site)
-  end
+let payload_action t payload = Char.code (Bytes.get payload 0) mod Array.length t.p_actions
+
+let payload_selector payload =
+  if Bytes.length payload >= 2 then Char.code (Bytes.get payload 1) mod 7 else 0
+
+(* Domain-safe: read-only after load. *)
+let peer_sites = Array.of_list Nyx_resilience.Fault.peer_sites
+
+let selector_site sel = peer_sites.(sel - 1)
 
 let seed_programs t net_spec =
   List.map

@@ -19,10 +19,10 @@
 
 type action = {
   a_name : string;
-  a_messages : stage:int -> Peer_fault.message list;
-      (** the honest wire image(s) for this action at the given stage *)
+  a_messages : Peer_fault.message list;
+      (** the honest wire image(s) for this action, built once *)
   a_next : stage:int -> int;  (** stage transition on met expectation *)
-  a_expect : stage:int -> bytes -> bool;
+  a_expect : bytes -> bool;
       (** does the (concatenated) response satisfy the protocol? *)
 }
 
@@ -39,7 +39,10 @@ type t = {
 }
 
 val find : string -> t option
-(** The script cooperating with the named target, if one exists. *)
+(** The script cooperating with the named target, if one exists. Each
+    script is built once, at load, and [find] returns that one shared
+    value ([find n == find n]): campaigns and fleet domains share its
+    messages, which nothing writes. *)
 
 val supported : unit -> string list
 (** Target names with a peer script, for CLI diagnostics. *)
@@ -47,11 +50,26 @@ val supported : unit -> string list
 val payload_of : ?fault:int -> int -> bytes
 (** [payload_of ~fault action] encodes one peer-mode packet payload:
     byte 0 the action index, byte 1 the fault selector (0 = none,
-    1..6 = {!Nyx_resilience.Fault.peer_sites} in order). *)
+    1..6 = {!Nyx_resilience.Fault.peer_sites} in order). The driver
+    reads them back with the three functions below; an empty payload
+    is a no-op packet. *)
 
-val decode_payload : t -> bytes -> (int * Nyx_resilience.Fault.site option) option
-(** Decode a packet payload into (action index, armed fault site).
-    [None] for an empty payload (a no-op packet). *)
+val payload_action : t -> bytes -> int
+(** The action index of a non-empty payload (byte 0 mod the palette
+    size), without allocating. *)
+
+val payload_selector : bytes -> int
+(** The fault selector of a payload: byte 1 mod 7, or 0 when the payload
+    is shorter than 2 bytes. 0 arms no fault; 1..6 is the index plus one
+    of a site in {!Nyx_resilience.Fault.peer_sites}. *)
+
+val selector_site : int -> Nyx_resilience.Fault.site
+(** The peer site of a selector in 1..6, by array index. *)
+
+val expect_code : string list -> bytes -> bool
+(** Some line of the reply, blanks trimmed as by [String.trim], starts
+    with one of the 3-character codes (a code of another length never
+    matches). The FTP scripts' expectation; it scans the bytes in place. *)
 
 val seed_programs : t -> Nyx_spec.Net_spec.t -> Nyx_spec.Program.t list
 (** One program per canned session: connect, then one packet per action

@@ -26,7 +26,7 @@ let sanitize_default = Nyx_sim.Sanitize.armed
 let total_outputs p =
   Array.fold_left
     (fun acc (op : Program.op) ->
-      acc + List.length (Spec.node p.Program.spec op.node).Spec.outputs)
+      acc + Array.length (Spec.node p.Program.spec op.node).Spec.output_ids)
     0 p.Program.ops
 
 let initial_env ?(sanitize = sanitize_default) p =
@@ -74,8 +74,8 @@ let sanitize_check env i (op : Program.op) (nt : Spec.node_ty) flags =
       fail "snapshot-carries-payload" "snapshot opcode with arguments or data"
   end
   else begin
-    let n_borrows = List.length nt.Spec.borrows in
-    let expected = n_borrows + List.length nt.Spec.consumes in
+    let n_borrows = nt.Spec.n_borrows in
+    let expected = Array.length nt.Spec.slot_ids in
     if Array.length op.Program.args <> expected then
       fail "bad-arity"
         (Printf.sprintf "%s expects %d argument(s), got %d" nt.Spec.nt_name expected
@@ -104,7 +104,7 @@ let exec_op (p : Program.t) h env i =
   else begin
     let inputs = Array.to_list (Array.map (fun idx -> env.values.(idx)) op.Program.args) in
     let outputs = h.exec nt inputs op.Program.data in
-    if List.length outputs <> List.length nt.Spec.outputs then
+    if List.length outputs <> Array.length nt.Spec.output_ids then
       invalid_arg (Printf.sprintf "Interp: handler for %s returned wrong output count"
                      nt.Spec.nt_name);
     List.iter (push env) outputs

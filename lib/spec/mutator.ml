@@ -18,8 +18,7 @@ let fresh_op rng spec =
            nt.Spec.data)
     in
     (* Args are placeholders; repair binds them to real values. *)
-    let nargs = List.length nt.Spec.borrows + List.length nt.Spec.consumes in
-    Some { Program.node = nt.Spec.nt_id; args = Array.make nargs 0; data }
+    Some { Program.node = nt.Spec.nt_id; args = Array.make (Array.length nt.Spec.slot_ids) 0; data }
 
 let havoc_op rng dict (op : Program.op) spec =
   let nt = Spec.node spec op.Program.node in

@@ -14,23 +14,23 @@ let value_capacity spec ops =
   for i = 0 to Array.length ops - 1 do
     let node = ops.(i).node in
     if node >= 0 && node < n_nodes then
-      cap := !cap + List.length (Spec.node spec node).Spec.outputs
+      cap := !cap + Array.length (Spec.node spec node).Spec.output_ids
   done;
   !cap
 
-(* Edge type of input slot [i]: the borrows come first, then the
-   consumes. *)
+(* Edge type of input slot [i], for error messages: the borrows come
+   first, then the consumes. *)
 let slot_edge (nt : Spec.node_ty) n_borrows i =
   if i < n_borrows then List.nth nt.Spec.borrows i
   else List.nth nt.Spec.consumes (i - n_borrows)
 
-let slot_ty nt n_borrows i = (slot_edge nt n_borrows i).Spec.et_id
-
-let rec push_outputs ty n = function
-  | [] -> n
-  | (et : Spec.edge_ty) :: rest ->
-    ty.(n) <- et.Spec.et_id;
-    push_outputs ty (n + 1) rest
+(* Append values of the edge types [outs] to [ty] from index [n] on; the
+   new value count. *)
+let push_outputs ty n outs =
+  for k = 0 to Array.length outs - 1 do
+    ty.(n + k) <- outs.(k)
+  done;
+  n + Array.length outs
 
 (* Edge type of value [v], counting outputs from op [opi] on. For error
    messages only: every op before the failing one is known. *)
@@ -67,24 +67,23 @@ let validate t =
           invalid "snapshot opcode carries no args or data"
       end;
       let name = nt.Spec.nt_name in
-      let n_borrows = List.length nt.Spec.borrows in
-      let n_in = n_borrows + List.length nt.Spec.consumes in
+      let slots = nt.Spec.slot_ids and n_borrows = nt.Spec.n_borrows in
+      let n_in = Array.length slots in
       if Array.length op.args <> n_in then invalid "op %d (%s): wrong arity" opi name;
       for i = 0 to n_in - 1 do
         let v = op.args.(i) in
         if v < 0 || v >= !n_values then invalid "op %d (%s): arg %d out of range" opi name i;
         if ty.(v) < 0 then invalid "op %d (%s): value %d already consumed" opi name v;
-        let expected = slot_edge nt n_borrows i in
-        if ty.(v) <> expected.Spec.et_id then
+        if ty.(v) <> slots.(i) then
           invalid "op %d (%s): arg %d has type %s, expected %s" opi name i
-            (value_edge t v 0).Spec.et_name expected.Spec.et_name;
+            (value_edge t v 0).Spec.et_name (slot_edge nt n_borrows i).Spec.et_name;
         if i >= n_borrows then ty.(v) <- -1
       done;
-      if Array.length op.data <> List.length nt.Spec.data then
+      if Array.length op.data <> nt.Spec.n_data then
         invalid "op %d (%s): wrong data field count" opi name;
       let long = long_field op.data 0 nt.Spec.data in
       if long >= 0 then invalid "op %d (%s): data field %d too long" opi name long;
-      n_values := push_outputs ty !n_values nt.Spec.outputs
+      n_values := push_outputs ty !n_values nt.Spec.output_ids
     done;
     Ok ()
   with Invalid m -> Error m
@@ -207,15 +206,15 @@ let repair ?rng t =
        dropped; neither binds nor produces a value. *)
     if known op && not (op.node = Spec.snapshot_node_id && !snapshot_seen) then begin
       let nt = Spec.node t.spec op.node in
-      let n_borrows = List.length nt.Spec.borrows in
-      let n_in = n_borrows + List.length nt.Spec.consumes in
+      let slots = nt.Spec.slot_ids and n_borrows = nt.Spec.n_borrows in
+      let n_in = Array.length slots in
       let cur = op.args in
       let n_cur = Array.length cur in
       (* Keep current bindings while they are usable. *)
       let kept = ref 0 in
       while
         !kept < n_in && !kept < n_cur
-        && usable cur n_borrows !kept (slot_ty nt n_borrows !kept) cur.(!kept)
+        && usable cur n_borrows !kept slots.(!kept) cur.(!kept)
       do
         incr kept
       done;
@@ -230,7 +229,7 @@ let repair ?rng t =
           while
             !i < n_in
             &&
-            let et = slot_ty nt n_borrows !i in
+            let et = slots.(!i) in
             let current = if !i < n_cur then cur.(!i) else -1 in
             let v =
               if usable args n_borrows !i et current then current
@@ -252,7 +251,7 @@ let repair ?rng t =
         for j = n_borrows to n_in - 1 do
           ty.(args.(j)) <- -1
         done;
-        n_values := push_outputs ty !n_values nt.Spec.outputs;
+        n_values := push_outputs ty !n_values nt.Spec.output_ids;
         if op.node = Spec.snapshot_node_id then snapshot_seen := true;
         let data = if data_fits op.data 0 nt.Spec.data then op.data else fit_data nt op.data in
         emit (if args == cur && data == op.data then op else { node = op.node; args; data })

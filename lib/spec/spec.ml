@@ -8,6 +8,10 @@ type node_ty = {
   consumes : edge_ty list;
   outputs : edge_ty list;
   data : data_ty list;
+  slot_ids : int array;
+  n_borrows : int;
+  output_ids : int array;
+  n_data : int;
 }
 
 type t = { name : string; node_arr : node_ty array }
@@ -22,8 +26,23 @@ type builder = {
   mutable next_node : int;
 }
 
-let snapshot_ty =
-  { nt_id = 0; nt_name = "snapshot"; borrows = []; consumes = []; outputs = []; data = [] }
+let edge_ids edges = Array.of_list (List.map (fun e -> e.et_id) edges)
+
+let make_node nt_id nt_name ~borrows ~consumes ~outputs ~data =
+  {
+    nt_id;
+    nt_name;
+    borrows;
+    consumes;
+    outputs;
+    data;
+    slot_ids = edge_ids (borrows @ consumes);
+    n_borrows = List.length borrows;
+    output_ids = edge_ids outputs;
+    n_data = List.length data;
+  }
+
+let snapshot_ty = make_node 0 "snapshot" ~borrows:[] ~consumes:[] ~outputs:[] ~data:[]
 
 let start name =
   { b_name = name; rev_nodes = [ snapshot_ty ]; next_edge = 0; next_data = 0; next_node = 1 }
@@ -39,7 +58,7 @@ let data_type b ?(max_len = 4096) dt_name =
   d
 
 let node_type b ?(borrows = []) ?(consumes = []) ?(outputs = []) ?(data = []) nt_name =
-  let n = { nt_id = b.next_node; nt_name; borrows; consumes; outputs; data } in
+  let n = make_node b.next_node nt_name ~borrows ~consumes ~outputs ~data in
   b.next_node <- b.next_node + 1;
   b.rev_nodes <- n :: b.rev_nodes;
   n

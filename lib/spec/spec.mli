@@ -16,13 +16,21 @@ type edge_ty = { et_id : int; et_name : string }
 type data_ty = { dt_id : int; dt_name : string; max_len : int }
 (** A raw data field (e.g. packet payload). *)
 
-type node_ty = {
+type node_ty = private {
   nt_id : int;
   nt_name : string;
   borrows : edge_ty list;
   consumes : edge_ty list;
   outputs : edge_ty list;
   data : data_ty list;
+  slot_ids : int array;
+      (** edge-type ids of the input slots: the borrows, then the consumes.
+          This and the fields below are derived from the lists once, by
+          {!node_type} (the only way to build a node type), for the code
+          that runs on every op; the arrays are read, never written. *)
+  n_borrows : int;  (** the borrows' count: slots below it are borrows *)
+  output_ids : int array;  (** edge-type ids of the outputs, in order *)
+  n_data : int;  (** the data fields' count *)
 }
 
 type t

@@ -45,8 +45,25 @@ let sample_session =
     "TYPE I\r\n"; "PASV\r\n"; "LIST\r\n"; "QUIT\r\n";
   ]
 
+let rec decimal_digits n = if n < 10 then 1 else 1 + decimal_digits (n / 10)
+
+(* "<code> <text>\r\n", written into one buffer: every reply passes here. *)
 let reply_str reply code text =
-  reply (Bytes.of_string (Printf.sprintf "%d %s\r\n" code text))
+  if code < 0 then reply (Bytes.of_string (string_of_int code ^ " " ^ text ^ "\r\n"))
+  else begin
+    let d = decimal_digits code and n = String.length text in
+    let b = Bytes.create (d + n + 3) in
+    let v = ref code in
+    for i = d - 1 downto 0 do
+      Bytes.set b i (Char.chr (Char.code '0' + (!v mod 10)));
+      v := !v / 10
+    done;
+    Bytes.set b d ' ';
+    Bytes.blit_string text 0 b (d + 1) n;
+    Bytes.set b (d + n + 1) '\r';
+    Bytes.set b (d + n + 2) '\n';
+    reply b
+  end
 
 (* Commands allowed before authentication completes. *)
 let pre_auth_ok = function
@@ -107,10 +124,12 @@ let hooks cfg =
   let get ctx addr off = Guest_heap.get_i32 ctx.Ctx.heap (addr + off) in
   let set ctx addr off v = Guest_heap.set_i32 ctx.Ctx.heap (addr + off) v in
   let on_init _ctx ~g:_ = () in
+  (* Read-only: the network copies what a target sends. *)
+  let banner = Bytes.of_string (cfg.banner ^ "\r\n") in
   let on_connect ctx ~g ~conn:_ ~reply =
     Ctx.hit ctx Site.connect;
     set ctx g Field.g_connections (get ctx g Field.g_connections + 1);
-    reply (Bytes.of_string (cfg.banner ^ "\r\n"))
+    reply banner
   in
   let handle_command ctx ~g ~conn ~reply cmd arg =
     let r code text =
@@ -150,7 +169,7 @@ let hooks cfg =
       else r 504 "unsupported type"
     | "PWD" ->
       Ctx.hit ctx Site.pwd;
-      r 257 (Printf.sprintf "\"/depth%d\" is current directory" (get ctx conn Field.cwd_depth))
+      r 257 ("\"/depth" ^ string_of_int (get ctx conn Field.cwd_depth) ^ "\" is current directory")
     | "CWD" ->
       if Ctx.branch ctx Site.cwd_up (arg = "..") then begin
         let d = get ctx conn Field.cwd_depth in

@@ -45,6 +45,10 @@ end
 
 val hooks : config -> Target.hooks
 
+val reply_str : (bytes -> unit) -> int -> string -> unit
+(** [reply_str reply code text] sends ["<code> <text>\r\n"], formatted
+    straight into one buffer. *)
+
 val standard_commands : string list
 (** The full command set; targets usually pass a subset. *)
 

@@ -281,19 +281,44 @@ let test_coverage_pins () =
       Alcotest.(check string) name (List.assoc name coverage_pins) (Pins.of_entry entry))
     entries
 
+(* [target] with every reply its hooks send also logged, newest first, as
+   (connection, bytes). *)
+let logging_replies (target : Nyx_targets.Target.t) log =
+  let h = target.Nyx_targets.Target.hooks in
+  let logged conn reply data =
+    log := (conn, Bytes.to_string data) :: !log;
+    reply data
+  in
+  {
+    target with
+    Nyx_targets.Target.hooks =
+      {
+        h with
+        Nyx_targets.Target.on_connect =
+          (fun ctx ~g ~conn ~reply ->
+            h.Nyx_targets.Target.on_connect ctx ~g ~conn ~reply:(logged conn reply));
+        on_packet =
+          (fun ctx ~g ~conn ~reply data ->
+            h.Nyx_targets.Target.on_packet ctx ~g ~conn ~reply:(logged conn reply) data);
+      };
+  }
+
 (* Snapshot transparency: a mutant's suffix run against the incremental
    snapshot must be indistinguishable from the whole mutant run from the
-   root — same status, protocol state, coverage map and aux state (the
-   [state_hash] of the netemu and peer images) — in bytecode mode
-   on every registry target and in peer mode on every peer script. Each
-   case draws, for every target, a seed with at least 2 ops, an interior
+   root — same status, protocol state, coverage map, aux state (the
+   [state_hash] of the netemu and peer images) and replies — in bytecode
+   mode on every registry target and in peer mode on every peer script.
+   The replies are what the target's hooks send, in order: the full run's
+   must be the session prefix's followed by the suffix run's. Each case
+   draws, for every target, a seed with at least 2 ops, an interior
    snapshot index and [mutants] suffix mutants. Every target must compare
    all its mutants, so sessions that fail to start (or a target with no
    such seed) fail the property instead of passing it vacuously. *)
 let prop_snapshot_transparency ~peer =
   let ns = Campaign.net_spec () in
   let instance (entry : Nyx_targets.Registry.entry) =
-    let target = entry.Nyx_targets.Registry.target in
+    let log = ref [] in
+    let target = logging_replies entry.Nyx_targets.Registry.target log in
     let name = target.Nyx_targets.Target.info.Nyx_targets.Target.name in
     let exec, seeds =
       if peer then
@@ -302,7 +327,7 @@ let prop_snapshot_transparency ~peer =
           Nyx_peer.Peer_script.seed_programs script ns )
       else (Executor.create ~net_spec:ns target, Nyx_targets.Registry.seed_programs entry ns)
     in
-    (exec, Array.of_list (List.filter (fun p -> Nyx_spec.Program.packet_count p >= 2) seeds))
+    (exec, log, Array.of_list (List.filter (fun p -> Nyx_spec.Program.packet_count p >= 2) seeds))
   in
   let entries =
     if peer then
@@ -318,29 +343,47 @@ let prop_snapshot_transparency ~peer =
       r.Report.state_code,
       Nyx_targets.Coverage.signature (Executor.coverage exec) )
   in
-  let compare_pairs rng seed_pick at_pick (exec, seeds) =
+  (* What [f ()] sends, oldest first. *)
+  let replies log f =
+    log := [];
+    let r = f () in
+    (r, List.rev !log)
+  in
+  let compare_pairs rng seed_pick at_pick (exec, log, seeds) =
     if Array.length seeds = 0 then 0
     else
       let seed = seeds.(seed_pick mod Array.length seeds) in
       let at = 1 + (at_pick mod (Nyx_spec.Program.packet_count seed - 1)) in
       let snap = Nyx_spec.Program.with_snapshot_at seed at in
-      match Executor.start_session exec snap with
-      | Error _ -> 0
-      | Ok session ->
+      match replies log (fun () -> Executor.start_session exec snap) with
+      | Error _, _ -> 0
+      | Ok session, prefix_replies ->
         let frozen = Executor.suffix_start session in
         let progs = List.init mutants (fun _ -> Nyx_spec.Mutator.mutate rng ~frozen snap) in
         let suffix =
           List.map
             (fun p ->
-              let seen = observe exec (Executor.run_suffix exec session p) in
-              (seen, Executor.state_hash exec))
+              let r, suffix_replies = replies log (fun () -> Executor.run_suffix exec session p) in
+              (observe exec r, Executor.state_hash exec, suffix_replies))
             progs
         in
         Executor.end_session exec session;
         List.iter2
-          (fun p (seen, hash) ->
-            if seen <> observe exec (Executor.run_full exec p) then
+          (fun p (seen, hash, suffix_replies) ->
+            let r, full_replies = replies log (fun () -> Executor.run_full exec p) in
+            if seen <> observe exec r then
               QCheck.Test.fail_reportf "%s: suffix run after op %d differs from the full run"
+                (Executor.target_name exec) at;
+            let k = List.length prefix_replies in
+            let head = List.filteri (fun i _ -> i < k) full_replies
+            and rest = List.filteri (fun i _ -> i >= k) full_replies in
+            if head <> prefix_replies then
+              QCheck.Test.fail_reportf
+                "%s: the full run's first %d replies differ from the session prefix's"
+                (Executor.target_name exec) k;
+            if rest <> suffix_replies then
+              QCheck.Test.fail_reportf
+                "%s: replies after op %d differ between the suffix run and the full run"
                 (Executor.target_name exec) at;
             (* [run_full] of a program with a snapshot op ends with a root
                restore, so the state to compare is the stripped run's. *)
@@ -352,7 +395,7 @@ let prop_snapshot_transparency ~peer =
           progs suffix;
         mutants
   in
-  QCheck.Test.make ~count:15
+  QCheck.Test.make ~count:100
     ~name:(if peer then "snapshot transparency, peer" else "snapshot transparency, bytecode")
     QCheck.(triple small_nat small_nat int)
     (fun (seed_pick, at_pick, rng_seed) ->

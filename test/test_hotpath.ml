@@ -1255,6 +1255,207 @@ let test_suffix_alloc_bound () =
             bound)
     entries
 
+(* CI guard: a peer-mode packet costs what goes on the wire. Words per
+   [Executor.run_suffix] in [--mode peer] on each peer script's seeds
+   with at least 2 packets, snapshot after half the packets, 200 runs
+   each: fault-free, and with all six encoder sites armed (rate 0.5,
+   plan seed 7) and a length-lie selector on every packet. tinydtls and
+   mysql-client sessions do not start when every packet lies about a
+   length, so only the FTP scripts have faulted bounds. Measured after
+   building script messages once, scanning replies in place, draining a
+   lone reply without a copy and formatting fault details only when
+   traced (OCaml 5.1): lightftp 792, proftpd 804, tinydtls 760,
+   mysql-client 597; faulted lightftp 1,243, proftpd 1,029. Before:
+   1,440, 1,376, 1,171, 833; faulted 2,085 and 1,716. Each bound is the
+   measured value plus 25%. *)
+let peer_suffix_word_bounds =
+  [
+    ("lightftp", (1_000, Some 1_560));
+    ("proftpd", (1_010, Some 1_290));
+    ("tinydtls", (960, None));
+    ("mysql-client", (750, None));
+  ]
+
+(* [p] with the fault selector of every packet payload set to [sel]. *)
+let with_selector (p : Program.t) sel =
+  let ops =
+    Array.map
+      (fun (op : Program.op) ->
+        if (Spec.node p.Program.spec op.Program.node).Spec.nt_name <> "packet" then op
+        else begin
+          let d = Bytes.make 2 (Char.chr sel) in
+          Bytes.set d 0 (Bytes.get op.Program.data.(0) 0);
+          { op with Program.data = [| d |] }
+        end)
+      p.Program.ops
+  in
+  { p with Program.ops }
+
+let test_peer_suffix_alloc_bound () =
+  let ns = Campaign.net_spec () in
+  let names = Nyx_peer.Peer_script.supported () in
+  check_int "every peer script bounded" (List.length peer_suffix_word_bounds) (List.length names);
+  let length_lie =
+    1
+    + Option.get
+        (List.find_index (( = ) Nyx_resilience.Fault.Peer_length_lie)
+           Nyx_resilience.Fault.peer_sites)
+  in
+  let faults =
+    match Nyx_peer.Peer_fault.parse_spec "all:0.5" with Ok sp -> sp | Error m -> failwith m
+  in
+  (* Words per run over every seed whose session starts; [None] when
+     none does. *)
+  let words name ~faulted =
+    let script = Option.get (Nyx_peer.Peer_script.find name) in
+    let target = (Option.get (Nyx_targets.Registry.find name)).Nyx_targets.Registry.target in
+    let runs = 200 in
+    let total = ref 0.0 and measured = ref 0 in
+    List.iter
+      (fun seed ->
+        if Program.packet_count seed >= 2 then begin
+          let seed = if faulted then with_selector seed length_lie else seed in
+          let snap = Program.with_snapshot_at seed (Program.packet_count seed / 2) in
+          let exec = Executor.create ~peer:script ~net_spec:ns target in
+          if faulted then
+            Executor.arm_faults exec (Nyx_resilience.Plan.create faults (Rng.create 7));
+          match Executor.start_session exec snap with
+          | Error _ -> ()
+          | Ok session ->
+            ignore (Executor.run_suffix exec session snap);
+            let w0 = Gc.minor_words () in
+            for _ = 1 to runs do
+              ignore (Executor.run_suffix exec session snap)
+            done;
+            total := !total +. (Gc.minor_words () -. w0);
+            measured := !measured + runs;
+            Executor.end_session exec session
+        end)
+      (Nyx_peer.Peer_script.seed_programs script ns);
+    if !measured = 0 then None else Some (!total /. float_of_int !measured)
+  in
+  let over what name words bound =
+    match (words, bound) with
+    | Some w, Some bound when w > float_of_int bound ->
+      [ Printf.sprintf "%s: %s run_suffix allocates %.0f words per exec (bound %d)" name what w
+          bound ]
+    | Some _, Some _ | None, None -> []
+    | Some _, None -> [ Printf.sprintf "%s: a %s session started; bound it" name what ]
+    | None, Some _ -> [ Printf.sprintf "%s: no %s session started" name what ]
+  in
+  let failures =
+    List.concat_map
+      (fun name ->
+        let bound, faulted_bound = List.assoc name peer_suffix_word_bounds in
+        over "peer" name (words name ~faulted:false) (Some bound)
+        @ over "faulted peer" name (words name ~faulted:true) faulted_bound)
+      names
+  in
+  if failures <> [] then Alcotest.fail (String.concat "; " failures)
+
+(* ------------------------------------------------------------------ *)
+(* Peer path: the in-place reply scans, the one-pass drain and the
+   directly formatted FTP replies against verbatim copies of the code
+   they replaced.                                                      *)
+
+module Ref_peer = struct
+  (* [Peer_script.expect_code] before the in-place scan. *)
+  let expect_code codes ~stage:_ resp =
+    let lines = String.split_on_char '\n' (Bytes.to_string resp) in
+    List.exists
+      (fun line ->
+        let line = String.trim line in
+        List.exists
+          (fun code -> String.length line >= 3 && String.sub line 0 3 = code)
+          codes)
+      lines
+
+  (* [Net.responses]' per-socket collect before the one-pass drain. *)
+  type sock = { mutable out_rev : (int * bytes) list }
+
+  let collect fl s =
+    let mine, rest = List.partition (fun (f, _) -> f = fl) (List.rev s.out_rev) in
+    s.out_rev <- List.rev rest;
+    List.map snd mine
+
+  (* [Ftp_common.reply_str] before direct formatting. *)
+  let reply_str reply code text =
+    reply (Bytes.of_string (Printf.sprintf "%d %s\r\n" code text))
+end
+
+(* Reply bytes over a small alphabet, so codes match often: digits,
+   letters and every blank [String.trim] strips, '\n' included. *)
+let reply_char = QCheck.Gen.oneofl [ '1'; '2'; '3'; '0'; 'a'; 'Z'; ' '; '\t'; '\r'; '\n'; '\012' ]
+
+let prop_expect_code_matches_reference =
+  (* Codes over the same alphabet (a blank in a code is what makes the
+     trimming observable), and replies pieced together from the codes
+     and short runs of that alphabet, so lines often hold a code. *)
+  let run = QCheck.Gen.(string_size ~gen:reply_char (int_range 0 4)) in
+  let case =
+    QCheck.Gen.(
+      list_size (int_range 0 4) run >>= fun codes ->
+      let piece = if codes = [] then run else oneof [ oneofl codes; run ] in
+      list_size (int_range 0 8) piece >|= fun pieces -> (codes, String.concat "" pieces))
+  in
+  QCheck.Test.make ~name:"in-place expect_code == split/trim/sub reference" ~count:3000
+    (QCheck.make ~print:QCheck.Print.(pair (list string) string) case)
+    (fun (codes, reply) ->
+      let resp = Bytes.of_string reply in
+      Nyx_peer.Peer_script.expect_code codes resp = Ref_peer.expect_code codes ~stage:0 resp)
+
+(* [Net.responses] itself, on a UDP server that has heard from flows 1..3
+   and sent them [sends] (oldest first) in a random interleaving. The
+   drained flow gets what the reference returns; the stack is left just
+   as a twin's that never sent that flow its replies (each such send
+   replaced by a [getsockname], one syscall at the same cost, so the
+   clocks and counters agree), so the other flows' replies stay queued
+   in their order; and each flow then drains what the reference left
+   it. *)
+let prop_responses_matches_reference =
+  let sends =
+    QCheck.Gen.(
+      list_size (int_range 0 8) (pair (int_range 1 3) (string_size ~gen:printable (int_range 0 4))))
+  in
+  QCheck.Test.make ~name:"one-pass reply drain == partition reference" ~count:3000
+    QCheck.(make ~print:Print.(pair int (list (pair int string))) Gen.(pair (int_range 1 3) sends))
+    (fun (fl, sends) ->
+      let module Net = Nyx_netemu.Net in
+      let server ~skip =
+        let net = Net.create (Nyx_sim.Clock.create ()) in
+        let fd = Net.socket net Net.Udp in
+        Net.bind net fd 53;
+        for _ = 1 to 3 do
+          ignore (Net.udp_send_peer net ~port:53 (Bytes.of_string "q"))
+        done;
+        List.iter
+          (fun (f, reply) ->
+            if f = skip then ignore (Net.getsockname net fd)
+            else ignore (Net.sendto net fd f (Bytes.of_string reply)))
+          sends;
+        net
+      in
+      let net = server ~skip:0 and twin = server ~skip:fl in
+      let s = { Ref_peer.out_rev = List.rev_map (fun (f, r) -> (f, Bytes.of_string r)) sends } in
+      Net.responses net fl = Ref_peer.collect fl s
+      && Marshal.to_string net [] = Marshal.to_string twin []
+      && List.for_all (fun f -> Net.responses net f = Ref_peer.collect f s) [ 1; 2; 3 ])
+
+(* domain-safe: the ref is allocated per call of the property. *)
+let prop_reply_str_matches_reference =
+  QCheck.Test.make ~name:"direct reply_str == Printf reference, codes 0..1200" ~count:50
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) Gen.char)
+    (fun text ->
+      let sent reply_str code =
+        let out = ref Bytes.empty in
+        reply_str (fun b -> out := b) code text;
+        !out
+      in
+      List.for_all
+        (fun code ->
+          Bytes.equal (sent Nyx_targets.Ftp_common.reply_str code) (sent Ref_peer.reply_str code))
+        (List.init 1201 Fun.id))
+
 (* Restoring netemu state must not allocate on the major heap. Decoding
    a captured image with [Marshal.from_bytes] did: past 256 words the
    decoded block goes straight to the major heap, and a state with four
@@ -1478,9 +1679,17 @@ let () =
           Alcotest.test_case "typed mutation allocation bound" `Quick
             test_typed_alloc_bound;
         ] );
+      ( "peer path",
+        [
+          QCheck_alcotest.to_alcotest prop_expect_code_matches_reference;
+          QCheck_alcotest.to_alcotest prop_responses_matches_reference;
+          QCheck_alcotest.to_alcotest prop_reply_str_matches_reference;
+        ] );
       ( "exec allocation",
         [
           Alcotest.test_case "run_suffix allocation bound" `Quick test_suffix_alloc_bound;
+          Alcotest.test_case "peer run_suffix allocation bound" `Quick
+            test_peer_suffix_alloc_bound;
           Alcotest.test_case "netemu restore stays minor" `Quick
             test_netemu_restore_stays_minor;
         ] );

@@ -241,21 +241,162 @@ let test_scripts_well_formed () =
 let test_payload_codec () =
   let s = script "lightftp" in
   let n = Array.length s.Peer_script.p_actions in
-  check_bool "empty payload is a no-op" true
-    (Peer_script.decode_payload s Bytes.empty = None);
-  (match Peer_script.decode_payload s (Peer_script.payload_of 3) with
-  | Some (3, None) -> ()
-  | _ -> Alcotest.fail "honest payload must decode to (action, no fault)");
-  (match Peer_script.decode_payload s (Peer_script.payload_of ~fault:4 2) with
-  | Some (2, Some site) ->
-    check_bool "selector 4 = fourth peer site" true
-      (site = List.nth Fault.peer_sites 3)
-  | _ -> Alcotest.fail "faulted payload must decode the site");
+  check_int "an empty payload arms no fault" 0 (Peer_script.payload_selector Bytes.empty);
+  check_int "a one-byte payload arms no fault" 0 (Peer_script.payload_selector (b "\x03"));
+  let honest = Peer_script.payload_of 3 in
+  check_int "honest payload's action" 3 (Peer_script.payload_action s honest);
+  check_int "honest payload arms no fault" 0 (Peer_script.payload_selector honest);
+  let faulted = Peer_script.payload_of ~fault:4 2 in
+  check_int "faulted payload's action" 2 (Peer_script.payload_action s faulted);
+  check_bool "selector 4 = fourth peer site" true
+    (Peer_script.selector_site (Peer_script.payload_selector faulted) = List.nth Fault.peer_sites 3);
+  List.iteri
+    (fun i site ->
+      check_bool "selectors 1..6 = peer sites in order" true
+        (Peer_script.selector_site (i + 1) = site))
+    Fault.peer_sites;
   (* Out-of-range bytes wrap instead of rejecting (mutators are free to
      write anything). *)
-  match Peer_script.decode_payload s (Bytes.cat (Bytes.make 1 (Char.chr (n + 1))) (b "\x09")) with
-  | Some (a, Some _) -> check_int "action wraps mod palette" 1 a
-  | _ -> Alcotest.fail "wrapped payload must still decode"
+  let wild = Bytes.cat (Bytes.make 1 (Char.chr (n + 1))) (b "\x09") in
+  check_int "action wraps mod palette" 1 (Peer_script.payload_action s wild);
+  check_int "selector wraps mod 7" 2 (Peer_script.payload_selector wild)
+
+(* ------------------------------------------------------------------ *)
+(* Shared scripts: built once, never written, traced runs unchanged    *)
+
+module Trace = Nyx_obs.Trace
+
+(* Every (action, message) of a script, in palette order. *)
+let messages s =
+  List.concat_map
+    (fun a -> List.map (fun m -> (a.Peer_script.a_name, m)) a.Peer_script.a_messages)
+    (Array.to_list s.Peer_script.p_actions)
+
+let messages_digest s =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (a, m) ->
+      Buffer.add_string buf a;
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf m.Peer_fault.m_name;
+      Buffer.add_char buf '\000';
+      Buffer.add_bytes buf m.Peer_fault.m_bytes;
+      Buffer.add_char buf '\001')
+    (messages s);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Per script, recorded before scripts were shared: the digest of its
+   message bytes, of every encoder fault applied to every message (seq
+   0..19, site_seq 0..4, wire images and traced details), and the
+   number and digest of the "peer-fault" instants, as
+   site|seq|message|detail lines, of [golden_campaign] on its target. *)
+let script_goldens =
+  [
+    ( "lightftp",
+      ( "c16121b90e3ea4416a100b8050407e77",
+        "f9f3716e7673b1cce2a35fcb1c856025",
+        (110, "19916da3e7801ad9cbdc6eb2a6e9908d") ) );
+    ( "proftpd",
+      ( "56a608d6ee28801fb61bf00eaccf810c",
+        "8e11af0f1515cfca8f47c47820e83a09",
+        (86, "b418b861adeaffb92c551cc031a1291a") ) );
+    ( "tinydtls",
+      ( "3bd98d4c929517fd91849265fb7552ba",
+        "81841fa4c35c7e0a2ff225706e0c59ed",
+        (99, "f47b798524076847e681dd7e051a1d30") ) );
+    ( "mysql-client",
+      ( "9caca9c53b7daae6fa384a03b5fb6617",
+        "4347079b9c09486dfb94aa626a003f26",
+        (108, "544de22d422f118ec3597a493f92bc99") ) );
+  ]
+
+(* Every encoder fault over a grid of provenances, applied to [msg]. *)
+let apply_grid msg =
+  List.concat_map
+    (fun site ->
+      List.concat
+        (List.init 20 (fun seq ->
+             List.init 5 (fun site_seq -> Peer_fault.apply (mk_fault site seq site_seq) msg))))
+    Fault.peer_sites
+
+let grid_digest results =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (wires, detail) ->
+      List.iter
+        (fun w ->
+          Buffer.add_bytes buf w;
+          Buffer.add_char buf '\000')
+        wires;
+      Buffer.add_string buf detail;
+      Buffer.add_char buf '\001')
+    results;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_campaign name =
+  Campaign.run ~peer:(script name) ~peer_faults:all_peer_faults
+    { peer_config with Campaign.max_execs = 300 }
+    (entry name)
+
+let test_scripts_shared_never_written () =
+  List.iter
+    (fun name ->
+      let msgs_golden, apply_golden, _ = List.assoc name script_goldens in
+      check_bool "find returns the one shared script" true
+        (Peer_script.find name == Peer_script.find name);
+      let s = script name in
+      Alcotest.(check string) (name ^ " messages as recorded") msgs_golden (messages_digest s);
+      let untraced = List.concat_map (fun (_, m) -> apply_grid m) (messages s) in
+      let traced, _ =
+        Trace.with_memory_sink (fun () -> List.concat_map (fun (_, m) -> apply_grid m) (messages s))
+      in
+      Alcotest.(check string) (name ^ " faulted images and traced details as recorded")
+        apply_golden (grid_digest traced);
+      (* Untraced, the images are the same; only details may be empty. *)
+      check_bool (name ^ " images independent of tracing") true
+        (List.map fst untraced = List.map fst traced);
+      ignore (golden_campaign name);
+      Alcotest.(check string) (name ^ " messages unchanged by faults and a campaign") msgs_golden
+        (messages_digest s))
+    (Peer_script.supported ());
+  (* The sample's reframe writes into its argument: it only ever gets a
+     private buffer. *)
+  let msg = sample_msg () in
+  let before = Bytes.copy msg.Peer_fault.m_bytes in
+  ignore (apply_grid msg);
+  check_bool "a writing reframe never sees m_bytes" true (Bytes.equal before msg.Peer_fault.m_bytes)
+
+let fault_instants events =
+  List.filter_map
+    (fun (e : Trace.event) ->
+      if e.Trace.name <> "peer-fault" then None
+      else
+        let field f =
+          match List.assoc f e.Trace.fields with
+          | Trace.Str v -> v
+          | Trace.Int i -> string_of_int i
+          | _ -> Alcotest.failf "peer-fault field %s" f
+        in
+        Some (List.map field [ "site"; "seq"; "message"; "detail" ]))
+    events
+
+let test_traced_runs_unchanged () =
+  List.iter
+    (fun name ->
+      let _, _, (n_golden, digest_golden) = List.assoc name script_goldens in
+      let plain = golden_campaign name in
+      let traced, events = Trace.with_memory_sink (fun () -> golden_campaign name) in
+      check_bool (name ^ ": traced == untraced") true (Report.same_deterministic plain traced);
+      let instants = fault_instants events in
+      List.iter
+        (fun i -> check_bool (name ^ ": detail formatted") true (List.nth i 3 <> ""))
+        instants;
+      check_int (name ^ ": peer-fault instants") n_golden (List.length instants);
+      Alcotest.(check string) (name ^ ": instants as recorded") digest_golden
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "" (List.map (fun i -> String.concat "|" i ^ "\n") instants)))))
+    (Peer_script.supported ())
 
 (* ------------------------------------------------------------------ *)
 (* Supervised recovery: desync -> backoff -> restart -> quarantine     *)
@@ -491,6 +632,8 @@ let () =
           Alcotest.test_case "scripts well-formed" `Quick
             test_scripts_well_formed;
           Alcotest.test_case "payload codec" `Quick test_payload_codec;
+          Alcotest.test_case "shared, never written" `Quick test_scripts_shared_never_written;
+          Alcotest.test_case "traced runs unchanged" `Quick test_traced_runs_unchanged;
         ] );
       ( "recovery",
         [
