@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke trace-smoke perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
+.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke trace-smoke bench-identity perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
 
 all: check
 
@@ -27,17 +27,17 @@ lint:
 # vars), both smoke benches asserted crash-free under NYX_DOMAINS=4
 # (hotpath additionally fails if the before/after gears diverge or the
 # speedup drops below 2x), the static-vs-dynamic conformance gate, the
-# CLI's checkpoint resume and NYX_FAULTS handling, traced peer runs, and
-# the host-time benchmark's output checks. The smoke benches run on small budgets, so
-# they write under bench_out/ and leave the committed BENCH_parallel.json
-# and BENCH_hotpath.json (bench-smoke, bench-hotpath) alone: the tree
-# stays clean.
+# CLI's checkpoint resume and NYX_FAULTS handling, traced peer runs, the
+# paper tables' NYX_DOMAINS identity, and the host-time benchmark's
+# output checks. The smoke benches write under bench_out/ and leave the
+# committed BENCH_parallel.json and BENCH_hotpath.json (bench-smoke,
+# bench-hotpath) alone: the tree stays clean.
 check:
 	dune build @all && dune runtest
 	$(MAKE) lint
 	NYX_SANITIZE=1 dune runtest --force
 	NYX_DOMAINS=4 dune exec bench/main.exe -- parallel_smoke --budget 1 --sync-ms 100 -o bench_out/BENCH_parallel.json
-	NYX_DOMAINS=4 NYX_BENCH_HOTPATH_EXECS=1500 NYX_BENCH_HOTPATH_PHASE_ITERS=1000 dune exec bench/main.exe -- hotpath -o bench_out/BENCH_hotpath.json
+	NYX_DOMAINS=4 dune exec bench/main.exe -- hotpath -o bench_out/BENCH_hotpath.json
 	$(MAKE) bench-snapshot
 	$(MAKE) bench-mutation
 	$(MAKE) bench-peer
@@ -46,6 +46,7 @@ check:
 	$(MAKE) resume-smoke
 	$(MAKE) faults-env-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) bench-identity
 	$(MAKE) perfbench-check
 
 # Fault-injection smoke campaign (lib/resilience): runs a full campaign
@@ -112,6 +113,24 @@ trace-smoke:
 	instants=$$(grep -c '"ev":"peer-fault"' $$T/trace.jsonl || true) && \
 	{ [ -n "$$fired" ] && [ "$$fired" = "$$instants" ] || { echo "trace-smoke: $$instants peer-fault instants, $$fired encoder faults fired"; exit 1; }; } && \
 	{ ! grep '"ev":"peer-fault"' $$T/trace.jsonl | grep -q '"detail":""' || { echo "trace-smoke: a peer-fault instant has an empty detail"; exit 1; }; }
+
+# NYX_DOMAINS must not change the bench tables: the paper tables (on a
+# small budget) and Table 4 (level 1-1) run on 1 domain and on 2, and
+# their stdouts, minus the [csv] path lines, and every CSV must match.
+IDENTITY_PAPER = NYX_BENCH_BUDGET_S=2 NYX_BENCH_MAX_EXECS=2000 NYX_BENCH_REPS=2 dune exec bench/main.exe -- table1 table2 table3 table5 fig5
+IDENTITY_MARIO = NYX_BENCH_MARIO=1-1 dune exec bench/main.exe -- table4
+
+bench-identity:
+	dune build @all
+	T=$$(mktemp -d) && trap 'rm -rf "$$T"' EXIT && \
+	for d in 1 2; do \
+	  NYX_DOMAINS=$$d NYX_BENCH_OUT=$$T/paper$$d $(IDENTITY_PAPER) > $$T/paper$$d.raw && \
+	  NYX_DOMAINS=$$d NYX_BENCH_OUT=$$T/mario$$d $(IDENTITY_MARIO) > $$T/mario$$d.raw && \
+	  grep -v '\[csv\]' $$T/paper$$d.raw > $$T/paper$$d.out && \
+	  grep -v '\[csv\]' $$T/mario$$d.raw > $$T/mario$$d.out || exit 1; \
+	done && \
+	diff $$T/paper1.out $$T/paper2.out && diff -r $$T/paper1 $$T/paper2 && \
+	diff $$T/mario1.out $$T/mario2.out && diff -r $$T/mario1 $$T/mario2
 
 # Output checks of the host-time benchmark (perfbench/): crash replay,
 # same-seed passes, checkpoint round-trips, traced == untraced, fleets

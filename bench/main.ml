@@ -25,16 +25,15 @@
      NYX_BENCH_MARIO       comma-separated levels for table4
                            (default "1-1,1-2,1-3,1-4,2-1"; "all" = 32 levels)
      NYX_BENCH_OUT         CSV output directory (default "bench_out")
-     NYX_DOMAINS           worker domains for matrix cells / fleets
+     NYX_DOMAINS           worker domains for campaign grids / fleets
                            (default: recommended count; 1 = sequential).
-                           Tables and CSVs are byte-identical either way:
-                           cells are deterministic functions of the seed
-                           and results merge in submission order.
+                           Tables, CSVs and BENCH files are byte-identical
+                           either way (make bench-identity checks the
+                           paper tables): campaigns are deterministic
+                           functions of their inputs and a grid's results
+                           merge in submission order.
      NYX_BENCH_SCALE_GATE  if set (e.g. "0.7"), parallel_smoke fails when any
-                           fleet size N scores mean speedup < gate * N
-     NYX_BENCH_HOTPATH_EXECS   coverage-bound execs for hotpath (default 3000)
-     NYX_BENCH_HOTPATH_PHASE_ITERS  per-phase iterations for hotpath (default 2000)
-     NYX_STATECHECK_MUTANTS    statecheck mutants per seed (default 3) *)
+                           fleet size N scores mean speedup < gate * N *)
 
 open Nyx_core
 
@@ -80,20 +79,77 @@ let write_csv name lines =
       List.iter (fun l -> output_string oc (l ^ "\n")) lines);
   Printf.printf "  [csv] %s\n%!" path
 
-(* A BENCH_*.json-style artifact, written to [path] (relative to the
-   working directory, not [out_dir]), or to the [-o] path, whose
-   directory is created if missing. *)
-let write_json path json =
+(* JSON artifact values; floats print with six decimals. *)
+type json =
+  | Int of int
+  | Float of float
+  | Bool of bool
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+(* Objects and scalar arrays print inline; an array of objects puts each
+   element on its own line, indented two past the line that opens it. *)
+let rec json_string indent = function
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%.6f" f
+  | Bool b -> string_of_bool b
+  | Str s -> Printf.sprintf "%S" s
+  | Arr (Obj _ :: _ as items) ->
+    let pad = String.make (indent + 2) ' ' in
+    Printf.sprintf "[\n%s\n%s]"
+      (String.concat ",\n" (List.map (fun v -> pad ^ json_string (indent + 2) v) items))
+      (String.make indent ' ')
+  | Arr items -> "[" ^ String.concat ", " (List.map (json_string indent) items) ^ "]"
+  | Obj members ->
+    let member (k, v) = Printf.sprintf "%S: %s" k (json_string indent v) in
+    "{" ^ String.concat ", " (List.map member members) ^ "}"
+
+(* A JSON artifact (BENCH_*.json, FAULTCHECK.json, STATECHECK.json), one
+   top-level member per line, written to [path] (relative to the working
+   directory, not [out_dir]), or to the [-o] path, whose directory is
+   created if missing. *)
+let write_json path members =
   let path = Option.value !flag_out ~default:path in
   let dir = Filename.dirname path in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let member (k, v) = "  " ^ json_string 2 (Str k) ^ ": " ^ json_string 2 v in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (json ^ "\n"));
+      output_string oc ("{\n" ^ String.concat ",\n" (List.map member members) ^ "\n}\n"));
   Printf.printf "  [json] %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
-(* The campaign matrix: fuzzer x target x repetition, computed lazily. *)
+(* The campaign grid: every (row, arm, seed) campaign of an experiment,
+   in one fan-out. Each campaign is a deterministic function of its
+   inputs and Pool.map_list returns results in submission order, so
+   whatever is built from a grid is the same at any NYX_DOMAINS. *)
+
+(* [run row arm seed] for every row, arm and seed; per row, each arm with
+   its results in seed order. *)
+let grid ~rows ~arms ~seeds run =
+  let tasks =
+    List.concat_map
+      (fun row -> List.concat_map (fun arm -> List.map (fun seed -> (row, arm, seed)) seeds) arms)
+      rows
+  in
+  Printf.eprintf "  [pool] %d campaigns on %d domains\n%!" (List.length tasks)
+    (Nyx_parallel.Pool.default_domains ());
+  let results =
+    Array.of_list (Nyx_parallel.Pool.map_list (fun (row, arm, seed) -> run row arm seed) tasks)
+  in
+  let n_arms = List.length arms and n_seeds = List.length seeds in
+  List.mapi
+    (fun i row ->
+      ( row,
+        List.mapi
+          (fun j arm ->
+            (arm, List.init n_seeds (fun k -> results.((((i * n_arms) + j) * n_seeds) + k))))
+          arms ))
+    rows
+
+(* ------------------------------------------------------------------ *)
+(* The paper matrix: fuzzer x target x repetition.                     *)
 
 type fuzzer = Nyx of Policy.kind | Baseline of Nyx_baselines.Fuzzers.spec
 
@@ -112,111 +168,47 @@ let all_fuzzers =
     Nyx Policy.Aggressive;
   ]
 
-let run_one ?(asan = false) ?(stop_on_solve = false) ?budget fuzzer entry seed =
-  let budget_ns = Option.value ~default:budget_ns budget in
+let run_one ?(asan = false) fuzzer entry seed =
   match fuzzer with
   | Nyx policy ->
     Some
       (Campaign.run
-         {
-           Campaign.policy;
-           budget_ns;
-           max_execs;
-           seed;
-           asan;
-           stop_on_solve;
-           trim = false;
-           sample_interval_ns = 250_000_000;
-           engine = Engines.Havoc;
-           mutator_weights = [];
-         }
+         { Campaign.default_config with Campaign.policy; budget_ns; max_execs; seed; asan }
          entry)
   | Baseline spec -> Nyx_baselines.Fuzzers.run spec ~budget_ns ~max_execs ~seed entry
-
-(* Domain-safety: the matrix cache is the only mutable state shared across
-   bench tasks; every access holds [matrix_mutex] so prewarm workers and
-   table code can never race on it. *)
-let matrix : (string * string, Report.campaign_result list option) Hashtbl.t =
-  Hashtbl.create 128
-
-let matrix_mutex = Mutex.create ()
-
-let matrix_find key =
-  Mutex.lock matrix_mutex;
-  let r = Hashtbl.find_opt matrix key in
-  Mutex.unlock matrix_mutex;
-  r
-
-let matrix_store key results =
-  Mutex.lock matrix_mutex;
-  Hashtbl.replace matrix key results;
-  Mutex.unlock matrix_mutex
-
-(* Fold per-rep results exactly the way the original sequential cell did
-   (any failing rep poisons the cell; list ends up in reverse rep order),
-   so parallel and sequential runs agree byte-for-byte downstream. *)
-let fold_reps rep_results =
-  List.fold_left
-    (fun acc r -> match (acc, r) with Some l, Some r -> Some (r :: l) | _ -> None)
-    (Some []) rep_results
-
-let cell fuzzer entry =
-  let tname = entry.Nyx_targets.Registry.target.Nyx_targets.Target.info.Nyx_targets.Target.name in
-  let key = (fuzzer_name fuzzer, tname) in
-  match matrix_find key with
-  | Some r -> r
-  | None ->
-    Printf.eprintf "  running %-18s on %-14s (%d rep%s)...\n%!" (fst key) tname reps
-      (if reps = 1 then "" else "s");
-    let results = fold_reps (List.init reps (fun i -> run_one fuzzer entry (1 + i))) in
-    matrix_store key results;
-    results
 
 let targets = Nyx_targets.Registry.profuzzbench ()
 
 let target_name e =
   e.Nyx_targets.Registry.target.Nyx_targets.Target.info.Nyx_targets.Target.name
 
-(* Compute every (fuzzer, target, rep) campaign of the matrix concurrently,
-   then assemble cells in submission order. Each campaign is a pure
-   function of (fuzzer, target, seed), so the populated cache — and every
-   table/CSV derived from it — is byte-identical to the lazy sequential
-   path; only wall-clock changes. *)
-let prewarm_matrix () =
-  let domains = Nyx_parallel.Pool.default_domains () in
-  if domains > 1 then begin
-    let cells =
-      List.concat_map (fun f -> List.map (fun e -> (f, e)) targets) all_fuzzers
-      |> List.filter (fun (f, e) -> matrix_find (fuzzer_name f, target_name e) = None)
-    in
-    let tasks =
-      List.concat_map (fun (f, e) -> List.init reps (fun i -> (f, e, 1 + i))) cells
-    in
-    Printf.eprintf "  [pool] prewarming %d matrix cells (%d campaigns) on %d domains\n%!"
-      (List.length cells) (List.length tasks) domains;
-    let results =
-      Nyx_parallel.Pool.map_list ~domains (fun (f, e, seed) -> run_one f e seed) tasks
-    in
-    (* Regroup the flat rep stream cell by cell, in submission order. *)
-    let rest = ref results in
-    List.iter
-      (fun (f, e) ->
-        let rec take n acc l =
-          if n = 0 then (List.rev acc, l)
-          else match l with [] -> assert false | x :: tl -> take (n - 1) (x :: acc) tl
-        in
-        let rep_results, tl = take reps [] !rest in
-        rest := tl;
-        matrix_store (fuzzer_name f, target_name e) (fold_reps rep_results))
-      cells
-  end
+(* Every cell of Tables 1-3 and 5 and Figure 5, keyed by target and
+   fuzzer name: None when a rep cannot run (the fuzzer cannot run the
+   target), else the reps' results in reverse rep order, the order the
+   recorded tables were computed in. *)
+let paper_matrix () =
+  grid ~rows:targets ~arms:all_fuzzers ~seeds:(List.init reps succ) (fun entry fuzzer seed ->
+      run_one fuzzer entry seed)
+  |> List.map (fun (entry, cells) ->
+         ( target_name entry,
+           List.map
+             (fun (fuzzer, results) ->
+               ( fuzzer_name fuzzer,
+                 List.fold_left
+                   (fun acc r ->
+                     match (acc, r) with Some l, Some r -> Some (r :: l) | _ -> None)
+                   (Some []) results ))
+             cells ))
+
+let cell matrix fuzzer entry =
+  List.assoc (fuzzer_name fuzzer) (List.assoc (target_name entry) matrix)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: crashes found by each fuzzer.                              *)
 
 let interesting_crash (c : Report.crash_report) = c.Report.kind <> "level-solved"
 
-let table1 () =
+let table1 matrix =
   Printf.printf "\n== Table 1: crashes found in ProFuzzBench targets ==\n";
   Printf.printf "   (x = crash found; (x) = found only with ASan; - = none; n/a = cannot run)\n\n";
   Printf.printf "%-14s" "Target";
@@ -230,7 +222,7 @@ let table1 () =
         List.map
           (fun fuzzer ->
             let mark =
-              match cell fuzzer entry with
+              match cell matrix fuzzer entry with
               | None -> "n/a"
               | Some results ->
                 if List.exists (fun r -> List.exists interesting_crash r.Report.crashes) results
@@ -263,7 +255,7 @@ let table1 () =
 let median_edges results =
   Nyx_sim.Stats.median (List.map (fun r -> float_of_int r.Report.final_edges) results)
 
-let table2 () =
+let table2 matrix =
   Printf.printf "\n== Table 2: median branch coverage (vs aflnet; * = p<0.05 Mann-Whitney U) ==\n\n";
   Printf.printf "%-14s %9s" "Target" "aflnet";
   List.iter
@@ -273,7 +265,7 @@ let table2 () =
   let csv = ref [] in
   List.iter
     (fun entry ->
-      let base = cell (Baseline Nyx_baselines.Fuzzers.aflnet) entry in
+      let base = cell matrix (Baseline Nyx_baselines.Fuzzers.aflnet) entry in
       match base with
       | None -> ()
       | Some base_results ->
@@ -283,7 +275,7 @@ let table2 () =
         List.iter
           (fun fuzzer ->
             if fuzzer_name fuzzer <> "aflnet" then begin
-              match cell fuzzer entry with
+              match cell matrix fuzzer entry with
               | None ->
                 Printf.printf " %15s" "n/a";
                 row := "n/a" :: !row
@@ -310,7 +302,7 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 (* Table 3: throughput (executions per virtual second).                *)
 
-let table3 () =
+let table3 matrix =
   Printf.printf "\n== Table 3: test throughput (execs per virtual second, mean +/- stddev) ==\n\n";
   Printf.printf "%-14s" "Target";
   List.iter (fun f -> Printf.printf " %18s" (fuzzer_name f)) all_fuzzers;
@@ -322,7 +314,7 @@ let table3 () =
       let row = ref [] in
       List.iter
         (fun fuzzer ->
-          match cell fuzzer entry with
+          match cell matrix fuzzer entry with
           | None ->
             Printf.printf " %18s" "-";
             row := "-" :: !row
@@ -343,14 +335,14 @@ let table3 () =
 (* ------------------------------------------------------------------ *)
 (* Table 5: time to equal coverage.                                    *)
 
-let table5 () =
+let table5 matrix =
   Printf.printf "\n== Table 5: how much faster Nyx-Net reaches AFLNet's final coverage ==\n\n";
   Printf.printf "%-14s %18s %12s %12s %12s\n" "Target" "aflnet final time" "nyx-none"
     "balanced" "aggressive";
   let csv = ref [] in
   List.iter
     (fun entry ->
-      match cell (Baseline Nyx_baselines.Fuzzers.aflnet) entry with
+      match cell matrix (Baseline Nyx_baselines.Fuzzers.aflnet) entry with
       | None -> ()
       | Some base_results ->
         let base = Campaign.median_result base_results in
@@ -360,7 +352,7 @@ let table5 () =
             (Nyx_sim.Stats.Timeline.first_time_reaching base.Report.timeline final_cov)
         in
         let speedup policy =
-          match cell (Nyx policy) entry with
+          match cell matrix (Nyx policy) entry with
           | None -> "-"
           | Some results -> (
             let r = Campaign.median_result results in
@@ -381,19 +373,19 @@ let table5 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 5: median coverage over time.                                *)
 
-let fig5 () =
+let fig5 matrix =
   Printf.printf "\n== Figure 5: coverage over time (CSV per target) ==\n";
   List.iter
     (fun entry ->
-      let grid = List.init 60 (fun i -> (i + 1) * (budget_ns / 60)) in
+      let times = List.init 60 (fun i -> (i + 1) * (budget_ns / 60)) in
       let series =
         List.filter_map
           (fun fuzzer ->
-            match cell fuzzer entry with
+            match cell matrix fuzzer entry with
             | None -> None
             | Some results ->
               let timelines = List.map (fun r -> r.Report.timeline) results in
-              Some (fuzzer_name fuzzer, Nyx_sim.Stats.Timeline.median_across timelines grid))
+              Some (fuzzer_name fuzzer, Nyx_sim.Stats.Timeline.median_across timelines times))
           all_fuzzers
       in
       let header = "time_s," ^ String.concat "," (List.map fst series) in
@@ -408,7 +400,7 @@ let fig5 () =
                 series
             in
             Printf.sprintf "%.2f,%s" (float_of_int t /. 1e9) (String.concat "," vals))
-          grid
+          times
       in
       write_csv (Printf.sprintf "fig5_%s.csv" (target_name entry)) (header :: lines))
     targets
@@ -416,27 +408,15 @@ let fig5 () =
 (* ------------------------------------------------------------------ *)
 (* Table 4: Super Mario time-to-solve.                                 *)
 
-let mario_reps = env_int "NYX_BENCH_MARIO_REPS" 3
+let mario_reps = 3
 let mario_budget = 2 * 3_600_000_000_000 (* 2 virtual hours per attempt *)
 
-let mario_cell level_name config_name runner =
+let mario_entry level_name =
   let level = Option.get (Nyx_mario.Level.find level_name) in
-  let entry =
-    {
-      Nyx_targets.Registry.target = Nyx_mario.Mario_target.target level;
-      seeds = Nyx_mario.Mario_target.seeds level;
-    }
-  in
-  (* Repetitions fan out across domains; Pool.map_list keeps them in rep
-     order, so the median and solve counts match the sequential run. *)
-  let times =
-    Nyx_parallel.Pool.map_list
-      (fun i -> match runner entry (1 + i) with Some r -> r.Report.solved_ns | None -> None)
-      (List.init mario_reps Fun.id)
-  in
-  let solved = List.filter_map Fun.id times in
-  ignore config_name;
-  (Nyx_sim.Stats.median (List.map float_of_int solved), List.length solved)
+  {
+    Nyx_targets.Registry.target = Nyx_mario.Mario_target.target level;
+    seeds = Nyx_mario.Mario_target.seeds level;
+  }
 
 let table4 () =
   Printf.printf "\n== Table 4: Super Mario time to solve (median of %d; virtual time) ==\n\n"
@@ -447,72 +427,70 @@ let table4 () =
     Some
       (Campaign.run
          {
+           Campaign.default_config with
            Campaign.policy;
            budget_ns = mario_budget;
            max_execs = 150_000;
            seed;
-           asan = false;
            stop_on_solve = true;
-           trim = false;
            sample_interval_ns = 10_000_000_000;
-           engine = Engines.Havoc;
-           mutator_weights = [];
          }
          entry)
   in
   let ijon entry seed =
     Nyx_baselines.Fuzzers.ijon ~budget_ns:mario_budget ~max_execs:150_000 ~seed entry
   in
-  let csv = ref [] in
-  List.iter
-    (fun level ->
-      let cells =
-        [
-          ("ijon", mario_cell level "ijon" ijon);
-          ("none", mario_cell level "none" (nyx Policy.None_));
-          ("balanced", mario_cell level "balanced" (nyx Policy.Balanced));
-          ("aggressive", mario_cell level "aggressive" (nyx Policy.Aggressive));
-        ]
-      in
-      let fmt (median, solved) =
-        if solved = 0 then "-"
-        else begin
-          let s = Format.asprintf "%a" Nyx_sim.Clock.pp_duration (int_of_float median) in
-          if solved < mario_reps then Printf.sprintf "%s %d/%d" s solved mario_reps else s
-        end
-      in
-      let ijon_t, ijon_solved = List.assoc "ijon" cells in
-      let best =
-        List.fold_left
-          (fun acc (name, (t, solved)) ->
-            if name <> "ijon" && solved > 0 then
-              match acc with Some (_, bt) when bt <= t -> acc | _ -> Some (name, t)
-            else acc)
-          None cells
-      in
-      let speedup =
-        match best with
-        | Some (_, t) when ijon_solved > 0 && t > 0.0 ->
-          Printf.sprintf "(%.1fx)" (ijon_t /. t)
-        | _ -> ""
-      in
-      Printf.printf "%-6s %14s %14s %14s %14s %10s\n%!" level
-        (fmt (List.assoc "ijon" cells))
-        (fmt (List.assoc "none" cells))
-        (fmt (List.assoc "balanced" cells))
-        (fmt (List.assoc "aggressive" cells))
-        speedup;
-      csv :=
-        Printf.sprintf "%s,%s,%s,%s,%s,%s" level
-          (fmt (List.assoc "ijon" cells))
-          (fmt (List.assoc "none" cells))
-          (fmt (List.assoc "balanced" cells))
-          (fmt (List.assoc "aggressive" cells))
-          speedup
-        :: !csv)
-    (mario_levels ());
+  let arms =
+    [
+      ("ijon", ijon);
+      ("none", nyx Policy.None_);
+      ("balanced", nyx Policy.Balanced);
+      ("aggressive", nyx Policy.Aggressive);
+    ]
+  in
+  let levels =
+    grid ~rows:(mario_levels ()) ~arms ~seeds:(List.init mario_reps succ)
+      (fun level (_, runner) seed ->
+        Option.bind (runner (mario_entry level) seed) (fun r -> r.Report.solved_ns))
+  in
+  let fmt (median, solved) =
+    if solved = 0 then "-"
+    else begin
+      let s = Format.asprintf "%a" Nyx_sim.Clock.pp_duration (int_of_float median) in
+      if solved < mario_reps then Printf.sprintf "%s %d/%d" s solved mario_reps else s
+    end
+  in
+  let row (level, arm_times) =
+    (* Per arm: the median time of the solving reps, and how many solved. *)
+    let cells =
+      List.map
+        (fun ((name, _), times) ->
+          let solved = List.filter_map Fun.id times in
+          (name, (Nyx_sim.Stats.median (List.map float_of_int solved), List.length solved)))
+        arm_times
+    in
+    let ijon_t, ijon_solved = List.assoc "ijon" cells in
+    let best =
+      List.fold_left
+        (fun acc (name, (t, solved)) ->
+          if name <> "ijon" && solved > 0 then
+            match acc with Some bt when bt <= t -> acc | _ -> Some t
+          else acc)
+        None cells
+    in
+    let speedup =
+      match best with
+      | Some t when ijon_solved > 0 && t > 0.0 -> Printf.sprintf "(%.1fx)" (ijon_t /. t)
+      | _ -> ""
+    in
+    let cols = List.map (fun (_, c) -> fmt c) cells in
+    Printf.printf "%-6s%s %10s\n%!" level
+      (String.concat "" (List.map (Printf.sprintf " %14s") cols))
+      speedup;
+    String.concat "," ((level :: cols) @ [ speedup ])
+  in
   write_csv "table4.csv"
-    ("level,ijon,nyx-none,nyx-balanced,nyx-aggressive,speedup" :: List.rev !csv)
+    ("level,ijon,nyx-none,nyx-balanced,nyx-aggressive,speedup" :: List.map row levels)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: incremental-snapshot create/restore vs dirty pages.       *)
@@ -763,16 +741,11 @@ let ablation_typed_spec () =
   let entry = Option.get (Nyx_targets.Registry.find "firefox-ipc") in
   let cfg seed =
     {
-      Campaign.policy = Policy.Aggressive;
-      budget_ns = 120_000_000_000;
+      Campaign.default_config with
+      Campaign.budget_ns = 120_000_000_000;
       max_execs = 40_000;
       seed;
-      asan = false;
-      stop_on_solve = false;
-      trim = false;
       sample_interval_ns = 1_000_000_000;
-      engine = Engines.Havoc;
-      mutator_weights = [];
     }
   in
   let time_to_uaf r =
@@ -813,16 +786,11 @@ let case_studies () =
       let entry = Option.get (Nyx_targets.Registry.find name) in
       let cfg =
         {
-          Campaign.policy = Policy.Aggressive;
-          budget_ns = 120_000_000_000;
+          Campaign.default_config with
+          Campaign.budget_ns = 120_000_000_000;
           max_execs = 60_000;
-          seed = 1;
           asan;
-          stop_on_solve = false;
-          trim = false;
           sample_interval_ns = 1_000_000_000;
-          engine = Engines.Havoc;
-          mutator_weights = [];
         }
       in
       let r = Campaign.run cfg entry in
@@ -850,28 +818,17 @@ let faster_than_light () =
   Printf.printf
     "\n== Faster than light: 52-instance fleet vs a 60-FPS speedrun (level 1-1) ==\n\n";
   let level = Option.get (Nyx_mario.Level.find "1-1") in
-  let entry =
-    {
-      Nyx_targets.Registry.target = Nyx_mario.Mario_target.target level;
-      seeds = Nyx_mario.Mario_target.seeds level;
-    }
-  in
   let speedrun_s = float_of_int (Nyx_mario.Level.speedrun_frames level) /. 60.0 in
   let config =
     {
-      Campaign.policy = Policy.Aggressive;
-      budget_ns = 600_000_000_000;
+      Campaign.default_config with
+      Campaign.budget_ns = 600_000_000_000;
       max_execs = 100_000;
-      seed = 1;
-      asan = false;
       stop_on_solve = true;
-      trim = false;
       sample_interval_ns = 10_000_000_000;
-      engine = Engines.Havoc;
-      mutator_weights = [];
     }
   in
-  let fleet = Fleet.run ~instances:52 ~config entry in
+  let fleet = Fleet.run ~instances:52 ~config (mario_entry "1-1") in
   Printf.printf "  flawless speedrun at 60 FPS:    %.2f s (%d frames)\n" speedrun_s
     (Nyx_mario.Level.speedrun_frames level);
   (match fleet.Fleet.first_solve_ns with
@@ -957,6 +914,9 @@ let parallel_smoke () =
       seed = 1;
     }
   in
+  let eps (o : Fleet.outcome) =
+    float_of_int o.Fleet.total_execs /. Float.max 1e-9 o.Fleet.wall_s
+  in
   let targets = [ "echo"; "lightftp" ] in
   Printf.printf "  %ds virtual budget, sync every %dms, targets: %s\n\n" budget_s
     sync_ms (String.concat " " targets);
@@ -980,9 +940,6 @@ let parallel_smoke () =
               let speedup =
                 float_of_int par.Fleet.work_ns
                 /. float_of_int (max 1 par.Fleet.makespan_ns)
-              in
-              let eps (o : Fleet.outcome) =
-                float_of_int o.Fleet.total_execs /. Float.max 1e-9 o.Fleet.wall_s
               in
               let share = sync_share par in
               Printf.printf "%-12s %7.2fx %12.3f %12.3f %12.0f %12.0f %7.2f%% %10b\n%!"
@@ -1042,56 +999,30 @@ let parallel_smoke () =
     all_identical;
   let hit_json = function
     | Some (epoch, execs) ->
-      Printf.sprintf "{\"reached\": true, \"execs\": %d, \"epoch\": %d}" execs epoch
-    | None -> "{\"reached\": false}"
+      Obj [ ("reached", Bool true); ("execs", Int execs); ("epoch", Int epoch) ]
+    | None -> Obj [ ("reached", Bool false) ]
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"virtual_budget_s\": %d,\n\
-      \  \"sync_interval_ms\": %d,\n\
-      \  \"scaling\": [\n%s\n\
-      \  ],\n\
-      \  \"dedup\": {\n\
-      \    \"target\": %S,\n\
-      \    \"instances\": %d,\n\
-      \    \"sequential_frontier_edges\": %d,\n\
-      \    \"synced\": %s,\n\
-      \    \"observer\": %s\n\
-      \  },\n\
-      \  \"mean_speedup\": %.3f,\n\
-      \  \"parallel_identical_to_sequential\": %b\n\
-       }"
-      budget_s sync_ms
-      (String.concat ",\n"
-         (List.map
-            (fun (n, rows, mean) ->
-              Printf.sprintf
-                "    {\"n\": %d, \"mean_speedup\": %.3f, \"targets\": [\n%s\n    ]}"
-                n mean
-                (String.concat ",\n"
-                   (List.map
-                      (fun (name, seq, par, speedup, share, identical) ->
-                        let eps (o : Fleet.outcome) =
-                          float_of_int o.Fleet.total_execs
-                          /. Float.max 1e-9 o.Fleet.wall_s
-                        in
-                        Printf.sprintf
-                          "      {\"target\": %S, \"speedup\": %.3f, \
-                           \"work_ns\": %d, \"makespan_ns\": %d, \
-                           \"seq_wall_s\": %.4f, \"par_wall_s\": %.4f, \
-                           \"seq_execs_per_wall_s\": %.0f, \
-                           \"par_execs_per_wall_s\": %.0f, \
-                           \"sync_share\": %.4f, \"identical\": %b}"
-                          name speedup par.Fleet.work_ns par.Fleet.makespan_ns
-                          seq.Fleet.wall_s par.Fleet.wall_s (eps seq) (eps par)
-                          share identical)
-                      rows)))
-            scaling))
-      dedup_target dedup_n frontier (hit_json synced_hit) (hit_json observer_hit)
-      mean_speedup all_identical
+  let row_json (name, seq, par, speedup, share, identical) =
+    Obj
+      [ ("target", Str name); ("speedup", Float speedup); ("work_ns", Int par.Fleet.work_ns);
+        ("makespan_ns", Int par.Fleet.makespan_ns); ("seq_wall_s", Float seq.Fleet.wall_s);
+        ("par_wall_s", Float par.Fleet.wall_s); ("seq_execs_per_wall_s", Float (eps seq));
+        ("par_execs_per_wall_s", Float (eps par)); ("sync_share", Float share);
+        ("identical", Bool identical) ]
   in
-  write_json "BENCH_parallel.json" json;
+  let scaling_json (n, rows, mean) =
+    Obj [ ("n", Int n); ("mean_speedup", Float mean); ("targets", Arr (List.map row_json rows)) ]
+  in
+  write_json "BENCH_parallel.json"
+    [ ("virtual_budget_s", Int budget_s); ("sync_interval_ms", Int sync_ms);
+      ("scaling", Arr (List.map scaling_json scaling));
+      ( "dedup",
+        Obj
+          [ ("target", Str dedup_target); ("instances", Int dedup_n);
+            ("sequential_frontier_edges", Int frontier); ("synced", hit_json synced_hit);
+            ("observer", hit_json observer_hit) ] );
+      ("mean_speedup", Float mean_speedup);
+      ("parallel_identical_to_sequential", Bool all_identical) ];
   if not all_identical then
     failwith "parallel_smoke: fleet results differ across domain counts";
   match Sys.getenv_opt "NYX_BENCH_SCALE_GATE" with
@@ -1142,7 +1073,7 @@ end
 let hotpath () =
   Printf.printf
     "\n== Hotpath: journaled coverage + O(1) scheduling vs full-scan paths ==\n\n";
-  let execs = env_int "NYX_BENCH_HOTPATH_EXECS" 3_000 in
+  let execs = 3_000 in
   let module Cov = Nyx_targets.Coverage in
   let spec = Campaign.net_spec () in
   let program = Nyx_spec.Net_spec.seed_of_packets spec [ Bytes.of_string "x" ] in
@@ -1220,7 +1151,7 @@ let hotpath () =
   Printf.printf "%-10s %14.0f %14.0f\n" "after" (eps after_wall) (npe after_wall);
   Printf.printf "  speedup: %.1fx\n\n" speedup;
   (* Per-phase split: time each hot-loop primitive in isolation. *)
-  let phase_iters = env_int "NYX_BENCH_HOTPATH_PHASE_ITERS" 2_000 in
+  let phase_iters = 2_000 in
   let time f =
     let t0 = Nyx_parallel.Wall.now_s () in
     for _ = 1 to phase_iters do
@@ -1283,27 +1214,13 @@ let hotpath () =
     (fun (name, b, a) ->
       Printf.printf "%-10s %14.0f %14.0f %8.1fx\n" name b a (b /. Float.max 1e-9 a))
     phases;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"execs\": %d,\n\
-      \  \"identical_results\": true,\n\
-      \  \"final_edges\": %d,\n\
-      \  \"corpus_size\": %d,\n\
-      \  \"before\": {\"execs_per_sec\": %.1f, \"ns_per_exec\": %.1f},\n\
-      \  \"after\": {\"execs_per_sec\": %.1f, \"ns_per_exec\": %.1f},\n\
-      \  \"speedup\": %.2f,\n\
-      \  \"phases_ns_per_iter\": {\n%s\n  }\n\
-       }"
-      execs after_edges after_corpus_n (eps before_wall) (npe before_wall)
-      (eps after_wall) (npe after_wall) speedup
-      (String.concat ",\n"
-         (List.map
-            (fun (name, b, a) ->
-              Printf.sprintf "    \"%s\": {\"before\": %.1f, \"after\": %.1f}" name b a)
-            phases))
-  in
-  write_json "BENCH_hotpath.json" json;
+  let gear wall = Obj [ ("execs_per_sec", Float (eps wall)); ("ns_per_exec", Float (npe wall)) ] in
+  let phase (name, b, a) = (name, Obj [ ("before", Float b); ("after", Float a) ]) in
+  write_json "BENCH_hotpath.json"
+    [ ("execs", Int execs); ("identical_results", Bool true); ("final_edges", Int after_edges);
+      ("corpus_size", Int after_corpus_n); ("before", gear before_wall);
+      ("after", gear after_wall); ("speedup", Float speedup);
+      ("phases_ns_per_iter", Obj (List.map phase phases)) ];
   if speedup < 2.0 then failwith "hotpath: expected >= 2x execs/sec on the smoke campaign"
 
 (* ------------------------------------------------------------------ *)
@@ -1398,8 +1315,9 @@ let faultcheck () =
       seed = 7;
     }
   in
+  let spec = "all:0.02" in
   let faults =
-    match Nyx_resilience.Plan.parse_spec "all:0.02" with
+    match Nyx_resilience.Plan.parse_spec spec with
     | Ok sp -> sp
     | Error m -> failwith ("faultcheck: " ^ m)
   in
@@ -1472,32 +1390,19 @@ let faultcheck () =
     failwith "faultcheck: no peer encoder faults fired (rate too low?)";
   if pres.Report.faults_aborted <> 0 then
     failwith "faultcheck: some peer encoder faults were not recovered";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"target\": %S,\n\
-      \  \"spec\": \"all:0.02\",\n\
-      \  \"injected\": %d,\n\
-      \  \"recovered\": %d,\n\
-      \  \"aborted\": %d,\n\
-      \  \"deterministic\": true,\n\
-      \  \"edges\": %d,\n\
-      \  \"execs\": %d,\n\
-      \  \"fleet_restarts\": %d,\n\
-      \  \"fleet_quarantined\": %d,\n\
-      \  \"peer_injected\": %d,\n\
-      \  \"peer_recovered\": %d,\n\
-      \  \"peer_aborted\": %d,\n\
-      \  \"peer_desyncs\": %d,\n\
-      \  \"peer_quarantines\": %d\n\
-       }"
-      r1.Report.target res.Report.faults_injected res.Report.faults_recovered
-      res.Report.faults_aborted r1.Report.final_edges r1.Report.execs
-      fleet.Fleet.restarts fleet.Fleet.quarantined pres.Report.faults_injected
-      pres.Report.faults_recovered pres.Report.faults_aborted
-      pstats.Report.peer_desyncs pstats.Report.peer_quarantines
-  in
-  write_json "FAULTCHECK.json" json;
+  write_json "FAULTCHECK.json"
+    [ ("target", Str r1.Report.target); ("spec", Str spec);
+      ("injected", Int res.Report.faults_injected);
+      ("recovered", Int res.Report.faults_recovered);
+      ("aborted", Int res.Report.faults_aborted); ("deterministic", Bool true);
+      ("edges", Int r1.Report.final_edges); ("execs", Int r1.Report.execs);
+      ("fleet_restarts", Int fleet.Fleet.restarts);
+      ("fleet_quarantined", Int fleet.Fleet.quarantined);
+      ("peer_injected", Int pres.Report.faults_injected);
+      ("peer_recovered", Int pres.Report.faults_recovered);
+      ("peer_aborted", Int pres.Report.faults_aborted);
+      ("peer_desyncs", Int pstats.Report.peer_desyncs);
+      ("peer_quarantines", Int pstats.Report.peer_quarantines) ];
   Printf.printf "  faultcheck OK\n%!"
 
 (* ------------------------------------------------------------------ *)
@@ -1513,7 +1418,7 @@ let faultcheck () =
 
 let statecheck () =
   Printf.printf "\n== Static-vs-dynamic boundary conformance (statecheck) ==\n\n";
-  let mutants_per_seed = env_int "NYX_STATECHECK_MUTANTS" 3 in
+  let mutants_per_seed = 3 in
   let nspec = Campaign.net_spec () in
   let empty_variant stride p =
     let i = ref 0 in
@@ -1585,29 +1490,17 @@ let statecheck () =
     "\n  %d programs over %d targets: %d observed within %d feasible \
      (precision %.3f), %d violation(s)\n"
     !total_progs (List.length rows) !total_obs !total_feas precision !total_viol;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"programs\": %d,\n\
-      \  \"observed_boundaries\": %d,\n\
-      \  \"feasible_boundaries\": %d,\n\
-      \  \"residue\": %d,\n\
-      \  \"precision\": %.4f,\n\
-      \  \"violations\": %d,\n\
-      \  \"targets\": [\n%s\n  ]\n\
-       }"
-      !total_progs !total_obs !total_feas (!total_feas - !total_obs + !total_viol)
-      precision !total_viol
-      (String.concat ",\n"
-         (List.map
-            (fun (name, progs, obs, feas, residue, viol) ->
-              Printf.sprintf
-                "    {\"target\": %S, \"programs\": %d, \"observed\": %d, \
-                 \"feasible\": %d, \"residue\": %d, \"violations\": %d}"
-                name progs obs feas residue viol)
-            rows))
+  let target_json (name, progs, obs, feas, residue, viol) =
+    Obj
+      [ ("target", Str name); ("programs", Int progs); ("observed", Int obs);
+        ("feasible", Int feas); ("residue", Int residue); ("violations", Int viol) ]
   in
-  write_json "STATECHECK.json" json;
+  write_json "STATECHECK.json"
+    [ ("programs", Int !total_progs); ("observed_boundaries", Int !total_obs);
+      ("feasible_boundaries", Int !total_feas);
+      ("residue", Int (!total_feas - !total_obs + !total_viol));
+      ("precision", Float precision); ("violations", Int !total_viol);
+      ("targets", Arr (List.map target_json rows)) ];
   if !total_viol > 0 then
     failwith
       (Printf.sprintf
@@ -1625,32 +1518,6 @@ let statecheck () =
    Campaigns are deterministic functions of the config and results merge
    in submission order, so the table, the BENCH file and the verdict are
    the same whatever NYX_DOMAINS says. *)
-
-(* BENCH file values; floats print with six decimals. *)
-type json =
-  | Int of int
-  | Float of float
-  | Bool of bool
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-(* Objects and scalar arrays print inline; an array of objects puts each
-   element on its own line, indented two past the line that opens it. *)
-let rec json_string indent = function
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%.6f" f
-  | Bool b -> string_of_bool b
-  | Str s -> Printf.sprintf "%S" s
-  | Arr (Obj _ :: _ as items) ->
-    let pad = String.make (indent + 2) ' ' in
-    Printf.sprintf "[\n%s\n%s]"
-      (String.concat ",\n" (List.map (fun v -> pad ^ json_string (indent + 2) v) items))
-      (String.make indent ' ')
-  | Arr items -> "[" ^ String.concat ", " (List.map (json_string indent) items) ^ "]"
-  | Obj members ->
-    let member (k, v) = Printf.sprintf "%S: %s" k (json_string indent v) in
-    "{" ^ String.concat ", " (List.map member members) ^ "}"
 
 (* One target's judgement: whether the claim held there, each arm's score
    for the table, and the target's BENCH members after "target". *)
@@ -1678,17 +1545,11 @@ let run_matrix m =
   let cfg = m.config in
   Printf.printf "\n== %s ==\n\n  seed %d, %ds virtual budget, %d exec cap\n\n" m.title
     cfg.Campaign.seed (cfg.Campaign.budget_ns / 1_000_000_000) cfg.Campaign.max_execs;
-  let tasks =
-    List.concat_map (fun t -> List.map (fun arm -> (t, arm)) m.arms) m.targets
-  in
-  let results =
-    Nyx_parallel.Pool.map_list
-      (fun (t, (arm, run)) -> (arm, run cfg (Option.get (Nyx_targets.Registry.find t))))
-      tasks
-  in
-  let k = List.length m.arms in
   let verdicts =
-    List.mapi (fun i t -> (t, m.judge (List.filteri (fun j _ -> j / k = i) results))) m.targets
+    grid ~rows:m.targets ~arms:m.arms ~seeds:[ cfg.Campaign.seed ] (fun t (_, run) seed ->
+        run { cfg with Campaign.seed } (Option.get (Nyx_targets.Registry.find t)))
+    |> List.map (fun (t, arms) ->
+           (t, m.judge (List.map (fun ((arm, _), results) -> (arm, List.hd results)) arms)))
   in
   let print_row cells =
     List.iteri (fun i c -> Printf.printf (if i = 0 then "%-13s" else " %18s") c) cells;
@@ -1709,10 +1570,7 @@ let run_matrix m =
     @ (("seed", Int cfg.Campaign.seed) :: List.map (fun (key, _, w) -> (key, Int w)) tallies)
     @ (("targets", Arr rows) :: members)
   in
-  write_json m.file
-    (Printf.sprintf "{\n%s\n}"
-       (String.concat ",\n"
-          (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k (json_string 2 v)) top)));
+  write_json m.file top;
   List.iter
     (fun (_, claim, wins) ->
       Printf.printf "  %s on %d/%d targets (gate %d/%d)\n%!" claim wins n num den;
@@ -1960,14 +1818,17 @@ let peer_matrix =
 
 (* ------------------------------------------------------------------ *)
 
-let experiments =
+(* [paper] is the paper matrix, computed on first use and shared by the
+   tables built from it. *)
+let experiments paper =
+  let of_paper table () = table (Lazy.force paper) in
   [
-    ("table1", table1);
-    ("table2", table2);
-    ("table3", table3);
+    ("table1", of_paper table1);
+    ("table2", of_paper table2);
+    ("table3", of_paper table3);
     ("table4", table4);
-    ("table5", table5);
-    ("fig5", fig5);
+    ("table5", of_paper table5);
+    ("fig5", of_paper fig5);
     ("fig6", fig6);
     ("scalability", scalability);
     ("faster_than_light", faster_than_light);
@@ -1986,9 +1847,6 @@ let experiments =
     ("faultcheck", faultcheck);
     ("statecheck", statecheck);
   ]
-
-(* Experiments whose cells come from the shared fuzzer x target matrix. *)
-let matrix_experiments = [ "table1"; "table2"; "table3"; "table5"; "fig5" ]
 
 let () =
   let rec parse acc = function
@@ -2018,6 +1876,7 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let experiments = experiments (lazy (paper_matrix ())) in
   let args = if args = [] || args = [ "all" ] then List.map fst experiments else args in
   if !flag_out <> None && List.length args <> 1 then begin
     Printf.eprintf "-o names one artifact: give exactly one experiment\n";
@@ -2030,7 +1889,6 @@ let () =
      whatever NYX_DOMAINS says. *)
   Printf.eprintf "  [pool] NYX_DOMAINS resolves to %d\n%!"
     (Nyx_parallel.Pool.default_domains ());
-  if List.exists (fun a -> List.mem a matrix_experiments) args then prewarm_matrix ();
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with

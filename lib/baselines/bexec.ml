@@ -13,6 +13,7 @@ type t = {
   aux : Nyx_snapshot.Aux_state.t;
   vm : Nyx_vm.Vm.t;
   ops : Nyx_core.Op_handlers.t;
+  handlers : Nyx_spec.Interp.handlers;  (* built once from [ops] *)
   target : Target.t;
 }
 
@@ -51,7 +52,8 @@ let create ?(asan = false) ?(layout_cookie = 0) ~mode target =
     | Desock | Fork_replay -> ()
   in
   let ops = Nyx_core.Op_handlers.create ~net ~runtime ~target ~after_packet () in
-  { mode; clock; ctx; root; aux; vm; ops; target }
+  let handlers = Nyx_core.Op_handlers.handlers ops in
+  { mode; clock; ctx; root; aux; vm; ops; handlers; target }
 
 let clock t = t.clock
 let coverage t = t.ctx.Ctx.cov
@@ -82,7 +84,7 @@ let run t program =
   Nyx_core.Op_handlers.reset t.ops;
   let status =
     Nyx_core.Executor.status_of_run (fun () ->
-        ignore (Nyx_spec.Interp.run program (Nyx_core.Op_handlers.handlers t.ops)))
+        ignore (Nyx_spec.Interp.run program t.handlers))
   in
   {
     Nyx_core.Report.status;

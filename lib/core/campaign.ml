@@ -762,6 +762,13 @@ let boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry =
 
 let start ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults
     ?checkpoint ?(collect_exports = false) cfg entry =
+  (* A custom handler reads programs of its own typed spec; resume parses
+     corpus entries, and the typed engine generates programs, against the
+     raw-network spec. *)
+  if Option.is_some custom && Option.is_some checkpoint then
+    invalid_arg "Campaign.start: ~custom campaigns cannot checkpoint";
+  if Option.is_some custom && (cfg : config).engine = Engines.Typed then
+    invalid_arg "Campaign.start: ~custom campaigns cannot use the typed engine";
   let w0 = Nyx_parallel.Wall.now_s () in
   let spec = net_spec () in
   let inst =
@@ -889,7 +896,7 @@ let run ?seeds ?custom ?peer ?peer_faults ?(profile = false) ?faults ?checkpoint
     (start ?seeds ?custom ?peer ?peer_faults ~profile ?faults ?checkpoint cfg
        entry)
 
-let resume_inst ?custom ?(profile = false) ?checkpoint
+let resume_inst ?(profile = false) ?checkpoint
     ?(collect_exports = false) (ckpt : Checkpoint.t) entry =
   let target_name = entry.Registry.target.Target.info.Target.name in
   if ckpt.Checkpoint.c_target <> target_name then
@@ -915,16 +922,14 @@ let resume_inst ?custom ?(profile = false) ?checkpoint
   in
   let w0 = Nyx_parallel.Wall.now_s () in
   let spec = net_spec () in
-  let inst =
-    boot ?custom ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry
-  in
+  let inst = boot ?peer ~spec ~profile ~checkpoint ~collect_exports cfg entry in
   restore ~spec inst.st ckpt;
   trace_campaign_begin inst.st;
   inst.wall_s <- Nyx_parallel.Wall.now_s () -. w0;
   inst
 
-let resume ?custom ?(profile = false) ?checkpoint (ckpt : Checkpoint.t) entry =
-  run_to_end (resume_inst ?custom ~profile ?checkpoint ckpt entry)
+let resume ?(profile = false) ?checkpoint (ckpt : Checkpoint.t) entry =
+  run_to_end (resume_inst ~profile ?checkpoint ckpt entry)
 
 let median_result results =
   match results with

@@ -68,6 +68,12 @@ val run :
     be built against a {!Nyx_spec.Net_spec.create} spec compatible with
     the internal one: use [make_seeds]).
 
+    [custom] hands every opcode to a typed spec's handler; pass that
+    spec's programs as [seeds]. Checkpoints and the typed engine build
+    programs against the raw-network spec, so a [custom] campaign takes
+    neither: it raises [Invalid_argument] with [checkpoint] or with
+    [engine = Typed].
+
     [peer] switches the campaign into peer mode ([--mode peer] on the
     CLI): instead of delivering program payloads as raw wire bytes, a
     scripted protocol-correct peer interprets each payload as an action
@@ -106,7 +112,6 @@ val run :
     result is bit-identical to an uncheckpointed one. *)
 
 val resume :
-  ?custom:Op_handlers.custom_handler ->
   ?profile:bool ->
   ?checkpoint:checkpoint_cfg ->
   Checkpoint.t ->
@@ -119,8 +124,7 @@ val resume :
     and snapshot-engine state are restored, after which the main loop
     continues exactly as the original run would have: the final result
     satisfies {!Report.same_deterministic} against the uninterrupted
-    run's. [custom] must be the same handler the original run used.
-    Peer mode is inferred from the checkpoint: when it carries peer
+    run's. Peer mode is inferred from the checkpoint: when it carries peer
     counters the target's script is re-attached and the counters
     restored, so resumers never pass a peer flag.
 
@@ -221,7 +225,6 @@ val checkpoint_now : inst -> Checkpoint.t
     the main-loop top, where captures are valid). *)
 
 val resume_inst :
-  ?custom:Op_handlers.custom_handler ->
   ?profile:bool ->
   ?checkpoint:checkpoint_cfg ->
   ?collect_exports:bool ->

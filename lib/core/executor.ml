@@ -6,6 +6,7 @@ type t = {
   ctx : Ctx.t;
   engine : Nyx_snapshot.Engine.t;
   ops : Op_handlers.t;
+  handlers : Nyx_spec.Interp.handlers;  (* built once from [ops] *)
   target : Target.t;
   profile : Nyx_obs.Profile.t option;
   peer : Nyx_peer.Peer_driver.t option;
@@ -63,7 +64,18 @@ let create ?(asan = false) ?(layout_cookie = 0) ?custom ?peer ?profile ~net_spec
   let ops =
     Op_handlers.create ~net ~runtime ~target ~on_snapshot:take_snapshot ?custom ()
   in
-  { clock; ctx; engine; ops; target; profile; peer; probe_hashed = 0; probe_skipped = 0 }
+  {
+    clock;
+    ctx;
+    engine;
+    ops;
+    handlers = Op_handlers.handlers ops;
+    target;
+    profile;
+    peer;
+    probe_hashed = 0;
+    probe_skipped = 0;
+  }
 
 let clock t = t.clock
 let profile t = t.profile
@@ -131,8 +143,7 @@ let recover_incremental t program =
            pending faults as recovered. *)
         Nyx_snapshot.Engine.restore_root t.engine;
         reset_exec_state t;
-        ignore
-          (Nyx_spec.Interp.run_until_snapshot program (Op_handlers.handlers t.ops)));
+        ignore (Nyx_spec.Interp.run_until_snapshot program t.handlers));
     if Nyx_obs.Trace.on () then
       Nyx_obs.Trace.instant
         ~vns:(Nyx_sim.Clock.now_ns t.clock)
@@ -178,7 +189,7 @@ let run_full t program =
     | None ->
       prof t Nyx_obs.Profile.Suffix_exec (fun () ->
           status_of_run (fun () ->
-              ignore (Nyx_spec.Interp.run program (Op_handlers.handlers t.ops))))
+              ignore (Nyx_spec.Interp.run program t.handlers)))
   in
   (* If the program took an incremental snapshot mid-run, drop it. *)
   if Nyx_snapshot.Engine.has_incremental t.engine then
@@ -219,7 +230,7 @@ let start_session t program =
         prof t Nyx_obs.Profile.Prefix_replay (fun () ->
             status_of_run (fun () ->
                 match
-                  Nyx_spec.Interp.run_until_snapshot program (Op_handlers.handlers t.ops)
+                  Nyx_spec.Interp.run_until_snapshot program t.handlers
                 with
                 | Some (from, env) -> result := Some (from, env)
                 | None -> ()))
@@ -279,9 +290,7 @@ let run_suffix t session program =
     | None ->
       prof t Nyx_obs.Profile.Suffix_exec (fun () ->
           status_of_run (fun () ->
-              ignore
-                (Nyx_spec.Interp.run ~from:session.s_from ~env program
-                   (Op_handlers.handlers t.ops))))
+              ignore (Nyx_spec.Interp.run ~from:session.s_from ~env program t.handlers)))
   in
   let exec_ns = Nyx_sim.Clock.now_ns t.clock - t0 in
   if Nyx_obs.Trace.on () then
@@ -338,7 +347,6 @@ let state_boundaries ?feasible t program =
   prof t Nyx_obs.Profile.Reset (fun () ->
       Nyx_snapshot.Engine.restore_root t.engine;
       reset_exec_state t);
-  let h = Op_handlers.handlers t.ops in
   let env = Nyx_spec.Interp.initial_env p in
   let boundaries = ref [] in
   let hash () =
@@ -349,7 +357,7 @@ let state_boundaries ?feasible t program =
   ignore
     (status_of_run (fun () ->
          for i = 0 to n - 1 do
-           ignore (Nyx_spec.Interp.run ~from:i ~until:(i + 1) ~env p h);
+           ignore (Nyx_spec.Interp.run ~from:i ~until:(i + 1) ~env p t.handlers);
            if feasible_at (i + 1) then begin
              let cur = hash () in
              if cur <> !prev && i + 1 <= n - 1 then boundaries := (i + 1) :: !boundaries;

@@ -20,7 +20,7 @@
      saved-journal merge, and rebroadcasts the fleet-novel ones to every
      other live instance. All cross-instance communication happens at
      barriers on the coordinator, so the fleet is bit-reproducible at any
-     NYX_DOMAINS and any Pool batch size. *)
+     NYX_DOMAINS. *)
 
 module Coverage = Nyx_targets.Coverage
 module Pool = Nyx_parallel.Pool
@@ -534,10 +534,11 @@ let drive st ~fleet_map ~workers ~checkpoint =
     st.slots
 
 (* Persistent pool for the whole synced run: worker domains are spawned
-   once and reused across every epoch (batched submission amortizes the
-   wake-ups within an epoch). *)
-let with_fleet_pool ~workers ~instances ~batch f =
+   once and reused across every epoch, and each epoch's fan-out goes in
+   [instances / workers]-task batches, which amortize the wake-ups. *)
+let with_fleet_pool ~workers ~instances f =
   if workers > 1 && instances > 1 then
+    let batch = max 1 (instances / workers) in
     Pool.with_pool ~domains:(min workers instances) (fun pool ->
         f { fmap = (fun g arr -> Pool.map_pool pool ~batch g arr) })
   else f { fmap = (fun g arr -> Array.map g arr) }
@@ -548,7 +549,7 @@ let with_fleet_pool ~workers ~instances ~batch f =
    [None] for a slot that stays dead. Boots are pure per slot, so the
    fan-out cannot perturb determinism; a failing boot quarantines its
    slot immediately. *)
-let run_sync ~instances ~workers ~batch ~checkpoint ~union ~acc ~sync_ns
+let run_sync ~instances ~workers ~checkpoint ~union ~acc ~sync_ns
     ~sync_import ~boot t0 =
   let st =
     {
@@ -559,12 +560,7 @@ let run_sync ~instances ~workers ~batch ~checkpoint ~union ~acc ~sync_ns
       sync_import;
     }
   in
-  let batch =
-    match batch with
-    | Some b when b >= 1 -> b
-    | Some _ | None -> max 1 (instances / max 1 workers)
-  in
-  with_fleet_pool ~workers ~instances ~batch (fun fleet_map ->
+  with_fleet_pool ~workers ~instances (fun fleet_map ->
       let boot_slot s =
         try boot s.idx
         with exn ->
@@ -597,8 +593,8 @@ let run_sync ~instances ~workers ~batch ~checkpoint ~union ~acc ~sync_ns
 (* ------------------------------------------------------------------ *)
 
 let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
-    ?peer_faults ?(profile = false) ?sync_ns ?(sync_import = true) ?batch
-    ?checkpoint ~config entry =
+    ?peer_faults ?(profile = false) ?sync_ns ?(sync_import = true) ?checkpoint
+    ~config entry =
   let t0 = Nyx_parallel.Wall.now_s () in
   let workers = Pool.resolve domains in
   with_fleet_trace ~instances ~sync_ns entry (fun () ->
@@ -612,7 +608,7 @@ let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
       | Some sync_ns ->
         if run_instance <> None then
           invalid_arg "Fleet.run: ~run_instance is independent-mode only";
-        run_sync ~instances ~workers ~batch ~checkpoint
+        run_sync ~instances ~workers ~checkpoint
           ~union:(Coverage.Cumulative.create ())
           ~acc:{ epoch = 0; rows = []; work_ns = 0; makespan_ns = 0; ck_ordinal = 0 }
           ~sync_ns ~sync_import t0 ~boot:(fun i ->
@@ -621,7 +617,7 @@ let run ?(instances = 52) ?domains ?(max_restarts = 3) ?run_instance ?peer
                 Campaign.start ?peer ?peer_faults ~profile ~collect_exports:true
                   (derived_config config i) entry )))
 
-let resume ?domains ?batch ?(profile = false) ?checkpoint ~path entry =
+let resume ?domains ?(profile = false) ?checkpoint ~path entry =
   let t0 = Nyx_parallel.Wall.now_s () in
   let d =
     match Result.bind (Nyx_resilience.Atomic_io.read_file path) decode_fleet with
@@ -634,7 +630,7 @@ let resume ?domains ?batch ?(profile = false) ?checkpoint ~path entry =
   with_fleet_trace ~instances ~sync_ns:(Some d.d_sync_ns) entry (fun () ->
       (* Surviving instances re-boot deterministically from their
          checkpoints, exactly like Campaign.resume. *)
-      run_sync ~instances ~workers:(Pool.resolve domains) ~batch ~checkpoint
+      run_sync ~instances ~workers:(Pool.resolve domains) ~checkpoint
         ~union ~acc:d.d_acc ~sync_ns:d.d_sync_ns ~sync_import:d.d_sync_import t0
         ~boot:(fun i ->
           Option.map

@@ -10,7 +10,7 @@
     (NYX_DOMAINS, or [?domains]). Each instance owns its clock, VM and
     RNG; all cross-instance communication happens at deterministic
     virtual-clock barriers in instance-index order on the coordinator, so
-    the outcome is identical whatever the domain count or batch size.
+    the outcome is identical whatever the domain count.
 
     {2 Shared-corpus sync ([?sync_ns])}
 
@@ -40,7 +40,7 @@
     {2 Determinism and makespan}
 
     Results are a pure function of (config, instances, sync schedule):
-    [domains], [batch] and wall-clock never affect them. The outcome also
+    [domains] and wall-clock never affect them. The outcome also
     reports a deterministic scaling model: [work_ns] (total virtual time
     across instances) and [makespan_ns], the simulated completion time of
     the per-epoch instance segments greedily list-scheduled onto
@@ -120,7 +120,6 @@ val run :
   ?profile:bool ->
   ?sync_ns:int ->
   ?sync_import:bool ->
-  ?batch:int ->
   ?checkpoint:checkpoint_cfg ->
   config:Campaign.config ->
   Nyx_targets.Registry.entry ->
@@ -136,10 +135,7 @@ val run :
 
     [sync_ns] arms shared-corpus sync epochs every that many virtual
     nanoseconds (must be positive); [sync_import] (default true) set to
-    false gives observer mode. [batch] is the {!Nyx_parallel.Pool} chunk
-    size per epoch fan-out (default [instances / domains], at least 1) —
-    a pure performance knob that never affects results. [checkpoint]
-    requires [sync_ns]. [profile] attaches per-instance phase profiles
+    false gives observer mode. [checkpoint] requires [sync_ns]. [profile] attaches per-instance phase profiles
     (observational; the [corpus-sync] phase shows what fraction of fleet
     virtual time sync costs).
 
@@ -151,7 +147,6 @@ val run :
 
 val resume :
   ?domains:int ->
-  ?batch:int ->
   ?profile:bool ->
   ?checkpoint:checkpoint_cfg ->
   path:string ->
@@ -161,6 +156,6 @@ val resume :
     [run ~sync_ns ~checkpoint] that was killed. Surviving instances are
     re-booted deterministically ({!Campaign.resume_inst}) and the epoch
     loop continues; the outcome is bit-identical to the uninterrupted
-    run's modulo wall-clock fields, at any [domains]/[batch].
+    run's modulo wall-clock fields, at any [domains].
     @raise Invalid_argument on unreadable or corrupt checkpoints, or if
     the checkpoint's target does not match [entry]. *)

@@ -86,11 +86,10 @@ let implicit_send t payload =
       | exception Invalid_argument _ -> ())
 
 let handlers t =
+  let send = implicit_send t in
   let exec (nt : Nyx_spec.Spec.node_ty) inputs data =
     let custom_result =
-      match t.custom with
-      | Some f -> f ~send:(implicit_send t) nt inputs data
-      | None -> None
+      match t.custom with Some f -> f ~send nt inputs data | None -> None
     in
     match custom_result with
     | Some outputs -> outputs

@@ -63,6 +63,9 @@ let boot ctx level =
   set f_alive 1;
   { ctx; level; base }
 
+let base t = t.base
+let attach ctx level ~base = { ctx; level; base }
+
 let get t off = Guest_heap.get_i32 t.ctx.Ctx.heap (t.base + off)
 
 (* The frame loop reads and writes the whole state block once per frame

@@ -27,6 +27,13 @@ val frame_cost_ns : int
 val boot : Nyx_targets.Ctx.t -> Level.t -> t
 (** Allocate game state in the guest heap at the spawn position. *)
 
+val base : t -> int
+(** Guest address of the game's state block. *)
+
+val attach : Nyx_targets.Ctx.t -> Level.t -> base:int -> t
+(** The game whose state block {!boot} allocated at [base] in [ctx]'s
+    guest memory. Allocates nothing in the guest and charges nothing. *)
+
 val step : t -> buttons -> unit
 (** Advance one frame (no-op once dead or won). *)
 

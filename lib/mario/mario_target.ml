@@ -2,22 +2,22 @@ open Nyx_targets
 
 let packet_bytes = 16
 
-(* The booted Game.t is stored per-context via the global state block: the
-   state address Game allocates is recorded at g+0 so each boot has its own
-   instance. The Game.t wrapper itself is reconstructed per packet. *)
-
+(* The target holds no state of its own: campaigns share it (a fleet's
+   instances, a table's repetitions), on any domain. [on_init] boots the
+   game in the context's guest heap and keeps the address of its state
+   block at g+0; each packet rebuilds the Game.t from it. The address is
+   harness bookkeeping, not target work, so it is written and read with
+   uncharged Memory accesses. *)
 let target level =
-  let game_ref : (Ctx.t * Game.t) option ref = ref None in
-  let on_init ctx ~g:_ =
-    game_ref := Some (ctx, Game.boot ctx level)
+  let mem ctx = Nyx_vm.Guest_heap.memory ctx.Ctx.heap in
+  let on_init ctx ~g =
+    Nyx_vm.Memory.write_i32 (mem ctx) g (Game.base (Game.boot ctx level))
   in
-  let on_packet ctx ~g:_ ~conn:_ ~reply:_ data =
-    match !game_ref with
-    | Some (boot_ctx, game) when boot_ctx == ctx -> (
-      try Game.run_input game data
-      with Game.Level_solved { frames } ->
-        Ctx.crash ctx ~kind:"level-solved" (Printf.sprintf "solved in %d frames" frames))
-    | _ -> Ctx.crash ctx ~kind:"harness" "game not booted for this context"
+  let on_packet ctx ~g ~conn:_ ~reply:_ data =
+    let game = Game.attach ctx level ~base:(Nyx_vm.Memory.read_i32 (mem ctx) g) in
+    try Game.run_input game data
+    with Game.Level_solved { frames } ->
+      Ctx.crash ctx ~kind:"level-solved" (Printf.sprintf "solved in %d frames" frames)
   in
   {
     Target.info =

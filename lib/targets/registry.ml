@@ -5,7 +5,12 @@
    only ever read (mutators copy before editing, the net layer copies on
    send), so entries may be shared freely across domains. Keep it that
    way: new targets must allocate their state through the hooks' [Ctx.t],
-   never in module-level refs/tables. *)
+   never in module-level refs/tables, nor in refs that a target-building
+   function captures in its hook closures: every campaign of an entry
+   shares those closures. The domain-safety lint scans only top-level
+   bindings, so it cannot see the second kind; a Mario target once kept
+   its booted game in such a ref, and fleet instances on different
+   domains overwrote each other's game. *)
 
 type entry = { target : Target.t; seeds : bytes list list }
 

@@ -595,25 +595,50 @@ let test_typed_campaign_finds_uaf_fast () =
   Alcotest.(check bool) "typed campaign finds the use-after-free" true
     (Report.found_kind r "use-after-free")
 
+(* A typed-spec campaign's programs mean something only to its handler:
+   resuming parses corpus entries against the raw-network spec, and the
+   typed engine generates raw-network programs, so [start] refuses both. *)
+let test_typed_spec_rejects_raw_spec_paths () =
+  let ts = Nyx_targets.Ipc_spec.create () in
+  let start ?checkpoint cfg () =
+    ignore
+      (Campaign.start
+         ~seeds:[ Nyx_targets.Ipc_spec.seed ts ]
+         ~custom:(Nyx_targets.Ipc_spec.handler ts) ?checkpoint cfg (ipc_entry ()))
+  in
+  let checkpoint =
+    Campaign.checkpointing
+      ~path:(Filename.concat (Filename.get_temp_dir_name ()) "nyx-never-written.ckpt")
+      ~interval_ns:1_000_000_000 ()
+  in
+  Alcotest.check_raises "checkpoint"
+    (Invalid_argument "Campaign.start: ~custom campaigns cannot checkpoint")
+    (start ~checkpoint Campaign.default_config);
+  Alcotest.check_raises "typed engine"
+    (Invalid_argument "Campaign.start: ~custom campaigns cannot use the typed engine")
+    (start { Campaign.default_config with Campaign.engine = Engines.Typed })
+
 (* Fleet *)
 
+let mario_entry name =
+  let level = Option.get (Nyx_mario.Level.find name) in
+  {
+    Nyx_targets.Registry.target = Nyx_mario.Mario_target.target level;
+    seeds = Nyx_mario.Mario_target.seeds level;
+  }
+
+let mario_config budget_ns =
+  {
+    Campaign.default_config with
+    Campaign.budget_ns;
+    max_execs = 30_000;
+    policy = Policy.Aggressive;
+    stop_on_solve = true;
+  }
+
 let test_fleet_parallel_solve () =
-  let level = Option.get (Nyx_mario.Level.find "1-1") in
-  let entry =
-    {
-      Nyx_targets.Registry.target = Nyx_mario.Mario_target.target level;
-      seeds = Nyx_mario.Mario_target.seeds level;
-    }
-  in
-  let config =
-    {
-      Campaign.default_config with
-      Campaign.budget_ns = 120_000_000_000;
-      max_execs = 30_000;
-      policy = Policy.Aggressive;
-      stop_on_solve = true;
-    }
-  in
+  let entry = mario_entry "1-1" in
+  let config = mario_config 120_000_000_000 in
   let solo = Campaign.run config entry in
   let fleet = Fleet.run ~instances:4 ~config entry in
   Alcotest.(check bool) "fleet solves" true (fleet.Fleet.first_solve_ns <> None);
@@ -623,6 +648,19 @@ let test_fleet_parallel_solve () =
     Alcotest.(check bool) "parallel minimum is no slower than member seed" true
       (fleet_t <= solo_t)
   | _ -> ()
+
+(* The instances of a fleet share one target value. A Mario target keeps
+   each instance's game in that instance's guest memory, so the fleet's
+   results cannot depend on how many domains run it. *)
+let test_fleet_mario_domains () =
+  let entry = mario_entry "1-1" in
+  let config = mario_config 60_000_000_000 in
+  let seq = Fleet.run ~instances:4 ~domains:1 ~config entry in
+  let par = Fleet.run ~instances:4 ~domains:2 ~config entry in
+  check_int "solves" seq.Fleet.solves par.Fleet.solves;
+  Alcotest.(check bool) "2 domains == 1 domain" true
+    (List.length seq.Fleet.results = List.length par.Fleet.results
+    && List.for_all2 Report.same_deterministic seq.Fleet.results par.Fleet.results)
 
 (* Minimizer *)
 
@@ -714,8 +752,14 @@ let () =
           Alcotest.test_case "seed drives target" `Quick test_typed_spec_seed_drives_target;
           Alcotest.test_case "expresses UAF" `Quick test_typed_spec_expresses_uaf;
           Alcotest.test_case "campaign finds UAF" `Quick test_typed_campaign_finds_uaf_fast;
+          Alcotest.test_case "rejects raw-spec checkpoint and engine" `Quick
+            test_typed_spec_rejects_raw_spec_paths;
         ] );
-      ( "fleet", [ Alcotest.test_case "parallel solve" `Quick test_fleet_parallel_solve ] );
+      ( "fleet",
+        [
+          Alcotest.test_case "parallel solve" `Quick test_fleet_parallel_solve;
+          Alcotest.test_case "mario: 2 domains == 1 domain" `Quick test_fleet_mario_domains;
+        ] );
       ( "minimizer",
         [
           Alcotest.test_case "shrinks crash" `Quick test_minimizer_shrinks_echo_crash;

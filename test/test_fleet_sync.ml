@@ -1,6 +1,6 @@
 (* Shared-corpus fleet (ISSUE: corpus-sync epochs): determinism across
-   domain counts and batch sizes, the sync-off golden, fleet
-   kill+resume, and the observability of sync epochs. *)
+   domain counts, the sync-off golden, fleet kill+resume, and the
+   observability of sync epochs. *)
 
 open Nyx_core
 
@@ -64,12 +64,12 @@ let test_sync_off_golden () =
   check_int "one worker: makespan == work" fleet.Fleet.work_ns
     fleet.Fleet.makespan_ns
 
-(* --- synced fleet: domain-count and batch-size independence --------- *)
+(* --- synced fleet: domain-count independence ------------------------ *)
 
-let sync_run ?(domains = 1) ?batch ?(sync_import = true) ?(instances = 4)
+let sync_run ?(domains = 1) ?(sync_import = true) ?(instances = 4)
     ?(sync_ns = 200_000_000) ?profile ?checkpoint config entry =
-  Fleet.run ~instances ~domains ?batch ?profile ~sync_ns ~sync_import
-    ?checkpoint ~config entry
+  Fleet.run ~instances ~domains ?profile ~sync_ns ~sync_import ?checkpoint
+    ~config entry
 
 let test_sync_domains_deterministic () =
   let entry = echo_entry () in
@@ -80,30 +80,17 @@ let test_sync_domains_deterministic () =
   check_int "reported domains differ" 4 par.Fleet.domains;
   check_bool "sync epochs recorded" true (List.length seq.Fleet.sync_epochs > 0)
 
-let test_sync_batch_deterministic () =
-  let entry = echo_entry () in
-  let config = cfg () in
-  let b1 = sync_run ~domains:4 ~batch:1 config entry in
-  let b3 = sync_run ~domains:4 ~batch:3 config entry in
-  check_bool "batch=3 == batch=1" true (same_outcome b1 b3);
-  (* Batch is a pure submission knob: even the makespan model agrees. *)
-  check_int "same makespan" b1.Fleet.makespan_ns b3.Fleet.makespan_ns
-
 let prop_synced_fleet_bit_identical =
   QCheck.Test.make
-    ~name:"synced fleet bit-identical across NYX_DOMAINS and batch" ~count:6
+    ~name:"synced fleet bit-identical across NYX_DOMAINS" ~count:6
     QCheck.(
       triple (int_range 1 1000) (int_range 2 3)
         (oneofl [ 80_000_000; 137_000_000; 300_000_000 ]))
     (fun (seed, instances, sync_ns) ->
       let entry = echo_entry () in
       let config = cfg ~seed ~budget_ns:800_000_000 ~max_execs:1_500 () in
-      let a =
-        Fleet.run ~instances ~domains:1 ~sync_ns ~config entry
-      in
-      let b =
-        Fleet.run ~instances ~domains:3 ~batch:2 ~sync_ns ~config entry
-      in
+      let a = Fleet.run ~instances ~domains:1 ~sync_ns ~config entry in
+      let b = Fleet.run ~instances ~domains:3 ~sync_ns ~config entry in
       same_outcome a b)
 
 (* --- corpus sharing actually happens ------------------------------- *)
@@ -355,8 +342,6 @@ let () =
         [
           Alcotest.test_case "4 domains == 1 domain" `Quick
             test_sync_domains_deterministic;
-          Alcotest.test_case "batch sizes agree" `Quick
-            test_sync_batch_deterministic;
           QCheck_alcotest.to_alcotest prop_synced_fleet_bit_identical;
         ] );
       ( "sharing",
