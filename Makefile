@@ -1,6 +1,6 @@
 # Convenience entry points; see README.md for the full bench matrix.
 
-.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke trace-smoke bench-identity perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
+.PHONY: all check build test lint faultcheck statecheck resume-smoke faults-env-smoke trace-smoke sanitize-smoke bench-identity perfbench-check profile ci-local bench-smoke bench-hotpath bench-snapshot bench-mutation bench-peer bench clean
 
 all: check
 
@@ -27,9 +27,9 @@ lint:
 # vars), both smoke benches asserted crash-free under NYX_DOMAINS=4
 # (hotpath additionally fails if the before/after gears diverge or the
 # speedup drops below 2x), the static-vs-dynamic conformance gate, the
-# CLI's checkpoint resume and NYX_FAULTS handling, traced peer runs, the
-# paper tables' NYX_DOMAINS identity, and the host-time benchmark's
-# output checks. The smoke benches write under bench_out/ and leave the
+# CLI's checkpoint resume and NYX_FAULTS handling, traced peer runs,
+# sanitized CLI campaigns, the paper tables' NYX_DOMAINS identity, and
+# the host-time benchmark's output checks. The smoke benches write under bench_out/ and leave the
 # committed BENCH_parallel.json and BENCH_hotpath.json (bench-smoke,
 # bench-hotpath) alone: the tree stays clean.
 check:
@@ -46,6 +46,7 @@ check:
 	$(MAKE) resume-smoke
 	$(MAKE) faults-env-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) sanitize-smoke
 	$(MAKE) bench-identity
 	$(MAKE) perfbench-check
 
@@ -113,6 +114,28 @@ trace-smoke:
 	instants=$$(grep -c '"ev":"peer-fault"' $$T/trace.jsonl || true) && \
 	{ [ -n "$$fired" ] && [ "$$fired" = "$$instants" ] || { echo "trace-smoke: $$instants peer-fault instants, $$fired encoder faults fired"; exit 1; }; } && \
 	{ ! grep '"ev":"peer-fault"' $$T/trace.jsonl | grep -q '"detail":""' || { echo "trace-smoke: a peer-fault instant has an empty detail"; exit 1; }; }
+
+# Sanitized CLI campaigns print exactly what plain ones print. Under
+# NYX_SANITIZE every netemu restore re-marshals the state and compares
+# it with the captured image, and the interpreter asserts the verifier's
+# facts; these campaigns give both real traffic: template sockets
+# closed, switches between root and incremental restores, and the
+# recovery restores of a faulted run.
+SANITIZE_SMOKE = \
+	"fuzz lightftp -b 3 -s 7" \
+	"fuzz dnsmasq -b 3 -s 7" \
+	"fuzz lightftp --mode peer --peer-faults all:0.5 -b 3 -s 7" \
+	"fuzz lightftp --faults all:0.05 -b 3 -s 7" \
+	"fuzz pure-ftpd -p dynamic --engine typed -b 3 -s 7"
+
+sanitize-smoke:
+	dune build @all
+	T=$$(mktemp -d) && trap 'rm -rf "$$T"' EXIT && \
+	for args in $(SANITIZE_SMOKE); do \
+	  dune exec bin/nyx_net_fuzz.exe -- $$args > $$T/plain.out && \
+	  NYX_SANITIZE=1 dune exec bin/nyx_net_fuzz.exe -- $$args > $$T/sanitized.out && \
+	  { diff $$T/plain.out $$T/sanitized.out || { echo "sanitize-smoke: NYX_SANITIZE changed the output of: $$args"; exit 1; }; } || exit 1; \
+	done
 
 # NYX_DOMAINS must not change the bench tables: the paper tables (on a
 # small budget) and Table 4 (level 1-1) run on 1 domain and on 2, and

@@ -206,6 +206,7 @@ let run_full t program =
 type session = {
   s_from : int;
   s_env : Nyx_spec.Interp.env;
+  s_work : Nyx_spec.Interp.env; (* each suffix run's env, reset from [s_env] *)
   s_cov : Coverage.checkpoint;
   s_state_code : int;
   s_tokens : (int * int) list * int * int option * int;
@@ -252,6 +253,7 @@ let start_session t program =
         {
           s_from = from;
           s_env = env;
+          s_work = Nyx_spec.Interp.copy_env env;
           s_cov = Coverage.save t.ctx.Ctx.cov;
           s_state_code = t.ctx.Ctx.state_code;
           s_tokens = Op_handlers.save_tokens t.ops;
@@ -283,7 +285,8 @@ let run_suffix t session program =
       Coverage.restore t.ctx.Ctx.cov session.s_cov;
       t.ctx.Ctx.state_code <- session.s_state_code;
       Op_handlers.load_tokens t.ops session.s_tokens);
-  let env = Nyx_spec.Interp.copy_env session.s_env in
+  let env = session.s_work in
+  Nyx_spec.Interp.blit_env ~src:session.s_env ~dst:env;
   let status =
     match wedge_status t with
     | Some status -> status

@@ -38,12 +38,64 @@ type state = {
   mutable syscalls : int;
 }
 
+(* A capture's template: a private deep copy of the state, never
+   mutated, with what restoring from it in place needs. *)
+type template = {
+  st0 : state;
+  socks0 : sock array; (* st0's sockets *)
+  resize_at : int array;
+      (* per table (socks, fds, flows, listeners): twice its bucket count.
+         A table holding more bindings than that has resized. *)
+}
+
+(* What one table gained since the live state last equalled the base
+   template: the keys it gained, and whether it must be re-copied whole
+   instead, because a key the base holds was removed or rebound or the
+   table resized. *)
+type journal = {
+  mutable gained : int array;
+  mutable n : int;
+  mutable recopy : bool;
+  mutable resize_at : int;
+}
+
 type t = {
   mutable st : state;
   clock : Nyx_sim.Clock.t;
   backend : backend;
   boundaries : bool;
+  mutable base : template option; (* [None] until the first capture *)
+  j_socks : journal;
+  j_fds : journal;
+  j_flows : journal;
+  j_listeners : journal;
+  (* Indexes of [st]'s socks and fds tables, kept beside the state (they
+     are not part of its image): sid -> socket ([dead] where the sid has
+     none) and fd -> sid (0 where the fd is not open). *)
+  mutable by_sid : sock array;
+  mutable fd_sid : int array;
+  dead : sock;
 }
+
+let blank_sock sid proto =
+  {
+    sid;
+    proto;
+    port = 0;
+    listening = false;
+    backlog = [];
+    inbox = [];
+    partial = None;
+    out_rev = [];
+    peer_open = true;
+    eof_pending = false;
+    refcount = 0;
+    conn_flow = -1;
+    reply_flow = -1;
+    write_shut = false;
+    options = [];
+    outbound = false;
+  }
 
 let fresh_state () =
   {
@@ -58,18 +110,112 @@ let fresh_state () =
     syscalls = 0;
   }
 
+let empty_journal () = { gained = Array.make 16 0; n = 0; recopy = false; resize_at = max_int }
+
 let create ?(backend = Emulated) ?(boundaries = true) clock =
-  { st = fresh_state (); clock; backend; boundaries }
+  let dead = blank_sock 0 Tcp in
+  {
+    st = fresh_state ();
+    clock;
+    backend;
+    boundaries;
+    base = None;
+    j_socks = empty_journal ();
+    j_fds = empty_journal ();
+    j_flows = empty_journal ();
+    j_listeners = empty_journal ();
+    by_sid = Array.make 16 dead;
+    fd_sid = Array.make 16 0;
+    dead;
+  }
 
 let backend t = t.backend
 
-(* Restore without decoding. Beside its Marshal image, a capture keeps a
-   template: a private deep copy of the state. Each restore installs a
-   fresh copy of the template. A copy duplicates every mutable part (the
-   hash tables, in their bucket order, the socket records and the packet
-   bytes) and shares the immutable rest, so a restored state re-marshals
-   to the captured image byte for byte: the image sets virtual time and
-   feeds the fuzzy hash, and Marshal encodes sharing. *)
+(* ------------------------------------------------------------------ *)
+(* The journal. Every change to a table's keys goes through [gain] (a
+   new key) or a [lose_*] (a key removed or rebound), so that a restore
+   from the base template can undo exactly what changed since the live
+   state last equalled it. Nothing is journaled before the first
+   capture.                                                            *)
+
+let gain t j tbl key =
+  match t.base with
+  | None -> ()
+  | Some _ ->
+    if j.n = Array.length j.gained then begin
+      let bigger = Array.make (2 * j.n) 0 in
+      Array.blit j.gained 0 bigger 0 j.n;
+      j.gained <- bigger
+    end;
+    j.gained.(j.n) <- key;
+    j.n <- j.n + 1;
+    if Hashtbl.length tbl > j.resize_at then j.recopy <- true
+
+(* A key was removed from a table or rebound: when the base holds it, the
+   table no longer differs from the base by gained keys alone. Sids, fds
+   and flows are numbered upward and never reused, so a live one below
+   the base's counter is one the base holds. *)
+let lose_sid t sid =
+  match t.base with Some b when sid < b.st0.next_sid -> t.j_socks.recopy <- true | _ -> ()
+
+let lose_fd t fd =
+  match t.base with Some b when fd < b.st0.next_fd -> t.j_fds.recopy <- true | _ -> ()
+
+let lose_flow t fl =
+  match t.base with Some b when fl < b.st0.next_flow -> t.j_flows.recopy <- true | _ -> ()
+
+let lose_port t port =
+  match t.base with
+  | Some b when Hashtbl.mem b.st0.listeners port -> t.j_listeners.recopy <- true
+  | _ -> ()
+
+let clear_journal j =
+  j.n <- 0;
+  j.recopy <- false
+
+(* ------------------------------------------------------------------ *)
+(* The socket indexes.                                                 *)
+
+let set_sock t sid s =
+  if sid >= Array.length t.by_sid then begin
+    let bigger = Array.make (max (sid + 1) (2 * Array.length t.by_sid)) t.dead in
+    Array.blit t.by_sid 0 bigger 0 (Array.length t.by_sid);
+    t.by_sid <- bigger
+  end;
+  t.by_sid.(sid) <- s
+
+let set_fd t fd sid =
+  if fd >= Array.length t.fd_sid then begin
+    let bigger = Array.make (max (fd + 1) (2 * Array.length t.fd_sid)) 0 in
+    Array.blit t.fd_sid 0 bigger 0 (Array.length t.fd_sid);
+    t.fd_sid <- bigger
+  end;
+  t.fd_sid.(fd) <- sid
+
+let index_socks t =
+  Array.fill t.by_sid 0 (Array.length t.by_sid) t.dead;
+  Hashtbl.iter (fun sid s -> set_sock t sid s) t.st.socks
+
+let index_fds t =
+  Array.fill t.fd_sid 0 (Array.length t.fd_sid) 0;
+  Hashtbl.iter (fun fd (sid, _) -> set_fd t fd sid) t.st.fds
+
+(* ------------------------------------------------------------------ *)
+(* Capture and restore. Beside its Marshal image, a capture keeps a
+   template: a private deep copy of the state. A copy duplicates every
+   mutable part (the hash tables, in their bucket order, the socket
+   records and the packet bytes) and shares the immutable rest, so a
+   restored state re-marshals to the captured image byte for byte: the
+   image sets virtual time and feeds the fuzzy hash, and Marshal encodes
+   sharing.
+
+   The last capture's template is the base. A restore from it reverts
+   the live state in place: each table drops the keys it gained (which
+   leaves its buckets as they were), a table the journal flagged is
+   re-copied whole, each template socket's record is rewritten from the
+   template and the counters are reset. A restore from any other
+   template (the root's, at the end of a session) installs a fresh copy
+   of it, which becomes the base. *)
 
 let copy_packet (fl, data) = (fl, Bytes.copy data)
 
@@ -81,23 +227,28 @@ let copy_sock s =
     out_rev = List.map copy_packet s.out_rev;
   }
 
-let copy_state st =
-  let socks = Hashtbl.copy st.socks in
+let copy_socks socks =
+  let socks = Hashtbl.copy socks in
   Hashtbl.filter_map_inplace (fun _ s -> Some (copy_sock s)) socks;
+  socks
+
+let copy_state st =
   {
     st with
-    socks;
+    socks = copy_socks st.socks;
     fds = Hashtbl.copy st.fds;
     flows = Hashtbl.copy st.flows;
     listeners = Hashtbl.copy st.listeners;
   }
+
+let resize_at tbl = 2 * (Hashtbl.stats tbl).Hashtbl.num_buckets
 
 (* Option names are the one part of the state a target hands in, often
    string literals shared between sockets. A template owns private
    copies, shared among themselves as in the image, so a restored state
    shares nothing with the target — what decoding the image would give. *)
 let template_of st =
-  let template = copy_state st in
+  let st0 = copy_state st in
   let owned = ref [] in
   let own name =
     match List.assq_opt name !owned with
@@ -107,14 +258,109 @@ let template_of st =
       owned := (name, copy) :: !owned;
       copy
   in
+  let socks0 = ref [] in
   Hashtbl.iter
-    (fun _ s -> s.options <- List.map (fun (name, v) -> (own name, v)) s.options)
-    template.socks;
-  template
+    (fun _ s ->
+      s.options <- List.map (fun (name, v) -> (own name, v)) s.options;
+      socks0 := s :: !socks0)
+    st0.socks;
+  {
+    st0;
+    socks0 = Array.of_list !socks0;
+    resize_at =
+      [| resize_at st0.socks; resize_at st0.fds; resize_at st0.flows; resize_at st0.listeners |];
+  }
 
-let reinstate t image template =
-  t.st <- copy_state template;
-  if Nyx_sim.Sanitize.armed && not (Bytes.equal (Marshal.to_bytes t.st []) image) then
+let clear_journals t =
+  clear_journal t.j_socks;
+  clear_journal t.j_fds;
+  clear_journal t.j_flows;
+  clear_journal t.j_listeners
+
+let set_base t tpl =
+  t.base <- Some tpl;
+  clear_journals t;
+  t.j_socks.resize_at <- tpl.resize_at.(0);
+  t.j_fds.resize_at <- tpl.resize_at.(1);
+  t.j_flows.resize_at <- tpl.resize_at.(2);
+  t.j_listeners.resize_at <- tpl.resize_at.(3)
+
+let rewrite s s0 =
+  s.port <- s0.port;
+  s.listening <- s0.listening;
+  s.backlog <- s0.backlog;
+  s.inbox <- List.map copy_packet s0.inbox;
+  s.partial <- Option.map copy_packet s0.partial;
+  s.out_rev <- List.map copy_packet s0.out_rev;
+  s.peer_open <- s0.peer_open;
+  s.eof_pending <- s0.eof_pending;
+  s.refcount <- s0.refcount;
+  s.conn_flow <- s0.conn_flow;
+  s.reply_flow <- s0.reply_flow;
+  s.write_shut <- s0.write_shut;
+  s.options <- s0.options;
+  s.outbound <- s0.outbound
+
+let revert t tpl =
+  let st0 = tpl.st0 in
+  if t.j_socks.recopy || t.j_fds.recopy || t.j_flows.recopy || t.j_listeners.recopy then begin
+    let st = t.st in
+    let again j tbl tbl0 = if j.recopy then Hashtbl.copy tbl0 else tbl in
+    t.st <-
+      {
+        st with
+        socks = (if t.j_socks.recopy then copy_socks st0.socks else st.socks);
+        fds = again t.j_fds st.fds st0.fds;
+        flows = again t.j_flows st.flows st0.flows;
+        listeners = again t.j_listeners st.listeners st0.listeners;
+      }
+  end;
+  let st = t.st in
+  if t.j_socks.recopy then index_socks t
+  else begin
+    for i = 0 to t.j_socks.n - 1 do
+      let sid = t.j_socks.gained.(i) in
+      Hashtbl.remove st.socks sid;
+      t.by_sid.(sid) <- t.dead
+    done;
+    for i = 0 to Array.length tpl.socks0 - 1 do
+      let s0 = tpl.socks0.(i) in
+      rewrite t.by_sid.(s0.sid) s0
+    done
+  end;
+  if t.j_fds.recopy then index_fds t
+  else
+    for i = 0 to t.j_fds.n - 1 do
+      let fd = t.j_fds.gained.(i) in
+      Hashtbl.remove st.fds fd;
+      t.fd_sid.(fd) <- 0
+    done;
+  if not t.j_flows.recopy then
+    for i = 0 to t.j_flows.n - 1 do
+      Hashtbl.remove st.flows t.j_flows.gained.(i)
+    done;
+  if not t.j_listeners.recopy then
+    for i = 0 to t.j_listeners.n - 1 do
+      Hashtbl.remove st.listeners t.j_listeners.gained.(i)
+    done;
+  st.next_fd <- st0.next_fd;
+  st.next_sid <- st0.next_sid;
+  st.next_flow <- st0.next_flow;
+  st.processes <- st0.processes;
+  st.syscalls <- st0.syscalls;
+  clear_journals t
+
+let install t tpl =
+  t.st <- copy_state tpl.st0;
+  index_socks t;
+  index_fds t;
+  set_base t tpl
+
+let image t = Marshal.to_bytes t.st []
+
+let reinstate t captured tpl =
+  (match t.base with Some b when b == tpl -> revert t tpl | _ -> install t tpl);
+  if Nyx_sim.Sanitize.armed && not (Bytes.equal (image t) captured) then
     failwith "Net: restored state does not re-marshal to the captured image"
 
 let register_aux t aux =
@@ -123,8 +369,9 @@ let register_aux t aux =
       Nyx_snapshot.Aux_state.name = "netemu";
       save =
         (fun () ->
-          let image = Marshal.to_bytes t.st [] and template = template_of t.st in
-          (image, fun () -> reinstate t image template));
+          let captured = image t and tpl = template_of t.st in
+          set_base t tpl;
+          (captured, fun () -> reinstate t captured tpl));
     };
   (* The syscall counter is pure telemetry: it advances on every poll, so
      leaving it in the hashed image would make every op look like a new
@@ -145,51 +392,39 @@ let charge t cost_real =
 
 let charge_syscall t = charge t Nyx_sim.Cost.real_syscall
 
+(* The live socket [sid]; [Not_found] when it has closed. *)
+let sock t sid =
+  let s = t.by_sid.(sid) in
+  if s == t.dead then raise Not_found else s
+
 let sock_of_fd t fd =
-  match Hashtbl.find_opt t.st.fds fd with
-  | None -> raise (Bad_fd fd)
-  | Some (sid, _) -> Hashtbl.find t.st.socks sid
+  if fd < 0 || fd >= Array.length t.fd_sid || t.fd_sid.(fd) = 0 then raise (Bad_fd fd);
+  sock t t.fd_sid.(fd)
 
 let new_sock t proto =
   let st = t.st in
-  let s =
-    {
-      sid = st.next_sid;
-      proto;
-      port = 0;
-      listening = false;
-      backlog = [];
-      inbox = [];
-      partial = None;
-      out_rev = [];
-      peer_open = true;
-      eof_pending = false;
-      refcount = 0;
-      conn_flow = -1;
-      reply_flow = -1;
-      write_shut = false;
-      options = [];
-      outbound = false;
-    }
-  in
+  let s = blank_sock st.next_sid proto in
   st.next_sid <- st.next_sid + 1;
   Hashtbl.replace st.socks s.sid s;
+  set_sock t s.sid s;
+  gain t t.j_socks st.socks s.sid;
   s
 
-let attach_fd t sid =
+let attach_fd t s =
   let st = t.st in
   let fd = st.next_fd in
   st.next_fd <- st.next_fd + 1;
-  Hashtbl.replace st.fds fd (sid, 1);
-  (Hashtbl.find st.socks sid).refcount <- (Hashtbl.find st.socks sid).refcount + 1;
+  Hashtbl.replace st.fds fd (s.sid, 1);
+  set_fd t fd s.sid;
+  gain t t.j_fds st.fds fd;
+  s.refcount <- s.refcount + 1;
   fd
 
 (* Target-side API *)
 
 let socket t proto =
   charge_syscall t;
-  let s = new_sock t proto in
-  attach_fd t s.sid
+  attach_fd t (new_sock t proto)
 
 let bind t fd port =
   charge_syscall t;
@@ -198,6 +433,7 @@ let bind t fd port =
     invalid_arg (Printf.sprintf "Net.bind: port %d already bound" port);
   s.port <- port;
   Hashtbl.replace t.st.listeners port s.sid;
+  gain t t.j_listeners t.st.listeners port;
   (* A bound UDP socket is immediately able to receive. *)
   if s.proto = Udp then s.listening <- true
 
@@ -215,7 +451,7 @@ let accept t fd =
   | [] -> raise (Would_block fd)
   | sid :: rest ->
     s.backlog <- rest;
-    attach_fd t sid
+    attach_fd t (sock t sid)
 
 let take_packet s ~max ~datagram =
   match s.partial with
@@ -309,23 +545,38 @@ let sendto t fd fl data =
 let close t fd =
   charge_syscall t;
   let s = sock_of_fd t fd in
+  let st = t.st in
   (* The fd number disappears only when no process holds it any more;
      the socket itself dies with its last reference. *)
-  (match Hashtbl.find_opt t.st.fds fd with
-  | Some (sid, n) when n > 1 -> Hashtbl.replace t.st.fds fd (sid, n - 1)
-  | _ -> Hashtbl.remove t.st.fds fd);
+  (match Hashtbl.find st.fds fd with
+  | sid, n when n > 1 ->
+    Hashtbl.replace st.fds fd (sid, n - 1);
+    lose_fd t fd
+  | _ | (exception Not_found) ->
+    Hashtbl.remove st.fds fd;
+    t.fd_sid.(fd) <- 0;
+    lose_fd t fd);
   s.refcount <- s.refcount - 1;
   if s.refcount <= 0 then begin
-    if s.port <> 0 && Hashtbl.find_opt t.st.listeners s.port = Some s.sid then
-      Hashtbl.remove t.st.listeners s.port;
-    if s.conn_flow >= 0 then Hashtbl.remove t.st.flows s.conn_flow;
-    Hashtbl.remove t.st.socks s.sid
+    if s.port <> 0 then begin
+      match Hashtbl.find st.listeners s.port with
+      | sid when sid = s.sid ->
+        Hashtbl.remove st.listeners s.port;
+        lose_port t s.port
+      | _ | (exception Not_found) -> ()
+    end;
+    if s.conn_flow >= 0 then begin
+      Hashtbl.remove st.flows s.conn_flow;
+      lose_flow t s.conn_flow
+    end;
+    Hashtbl.remove st.socks s.sid;
+    t.by_sid.(s.sid) <- t.dead;
+    lose_sid t s.sid
   end
 
 let dup t fd =
   charge_syscall t;
-  let s = sock_of_fd t fd in
-  attach_fd t s.sid
+  attach_fd t (sock_of_fd t fd)
 
 let connect_out t fd ~port =
   charge t Nyx_sim.Cost.real_connect;
@@ -337,6 +588,7 @@ let connect_out t fd ~port =
   t.st.next_flow <- fl + 1;
   s.conn_flow <- fl;
   Hashtbl.replace t.st.flows fl s.sid;
+  gain t t.j_flows t.st.flows fl;
   fl
 
 let shutdown t fd how =
@@ -391,40 +643,34 @@ let readiness s =
     | _ :: _, _ | _, Some _ -> Readable
     | [], None -> if s.eof_pending then Readable else Idle)
 
-(* [2 * sid] for the ready socket with the lowest sid above [above] when
-   it can accept, [2 * sid + 1] when it can be read, [max_int] when none
-   is ready. An int accumulator: the fold allocates nothing per socket. *)
-let lowest_ready socks above =
-  Hashtbl.fold
-    (fun sid s best ->
-      if sid <= above || 2 * sid > best then best
-      else
-        match readiness s with
-        | Idle -> best
-        | Acceptable -> 2 * sid
-        | Readable -> (2 * sid) + 1)
-    socks max_int
-
-let lowest_fd fds sid =
-  Hashtbl.fold (fun fd (s, _) best -> if s = sid && fd < best then fd else best) fds max_int
+(* The lowest fd at or above [fd] that refers to socket [sid], or -1. *)
+let rec lowest_fd t sid fd stop =
+  if fd >= stop then -1
+  else if Array.unsafe_get t.fd_sid fd = sid then fd
+  else lowest_fd t sid (fd + 1) stop
 
 (* The ready socket with the lowest sid that some fd still refers to,
-   reported on its lowest fd. Two folds over the tables, no hashing, no
+   reported on its lowest fd: an upward scan of the sid index, each
+   ready socket's fds found by a scan of the fd index. No hashing, no
    list: this runs on every turn of every target's event loop. A ready
-   socket no fd refers to (a connection still in a backlog) is skipped
-   by scanning again above its sid. *)
-let rec poll_above t above =
-  let key = lowest_ready t.st.socks above in
-  if key = max_int then None
+   socket no fd refers to (a connection still in a backlog) is
+   skipped. *)
+let rec poll_from t sid stop =
+  if sid >= stop then None
   else
-    let fd = lowest_fd t.st.fds (key / 2) in
-    if fd = max_int then poll_above t (key / 2)
-    else if key land 1 = 0 then Some (`Accept fd)
-    else Some (`Read fd)
+    let s = Array.unsafe_get t.by_sid sid in
+    if s == t.dead then poll_from t (sid + 1) stop
+    else
+      match readiness s with
+      | Idle -> poll_from t (sid + 1) stop
+      | ready -> (
+        let fd = lowest_fd t sid 0 (min t.st.next_fd (Array.length t.fd_sid)) in
+        if fd < 0 then poll_from t (sid + 1) stop
+        else match ready with Acceptable -> Some (`Accept fd) | _ -> Some (`Read fd))
 
 let poll t =
   charge t Nyx_sim.Cost.real_syscall;
-  poll_above t 0
+  poll_from t 1 (min t.st.next_sid (Array.length t.by_sid))
 
 let fork t =
   charge t Nyx_sim.Cost.fork;
@@ -434,7 +680,8 @@ let fork t =
   List.iter
     (fun (fd, (sid, n)) ->
       Hashtbl.replace t.st.fds fd (sid, n + 1);
-      let s = Hashtbl.find t.st.socks sid in
+      lose_fd t fd;
+      let s = sock t sid in
       s.refcount <- s.refcount + 1)
     entries;
   t.st.processes <- t.st.processes + 1;
@@ -446,10 +693,10 @@ let connect_peer t ~port =
   (match t.backend with
   | Emulated -> Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.emulated_syscall
   | Real -> Nyx_sim.Clock.advance t.clock Nyx_sim.Cost.real_connect);
-  match Hashtbl.find_opt t.st.listeners port with
-  | None -> None
-  | Some sid ->
-    let listener = Hashtbl.find t.st.socks sid in
+  match Hashtbl.find t.st.listeners port with
+  | exception Not_found -> None
+  | sid ->
+    let listener = sock t sid in
     if (not listener.listening) || listener.proto = Udp then None
     else begin
       let conn = new_sock t listener.proto in
@@ -458,6 +705,7 @@ let connect_peer t ~port =
       conn.conn_flow <- fl;
       conn.port <- 0;
       Hashtbl.replace t.st.flows fl conn.sid;
+      gain t t.j_flows t.st.flows fl;
       listener.backlog <- listener.backlog @ [ conn.sid ];
       Some fl
     end
@@ -466,7 +714,7 @@ let sock_of_flow t fl =
   match Hashtbl.find t.st.flows fl with
   | exception Not_found -> invalid_arg (Printf.sprintf "Net: unknown flow %d" fl)
   | sid -> (
-    match Hashtbl.find t.st.socks sid with
+    match sock t sid with
     | exception Not_found -> invalid_arg (Printf.sprintf "Net: flow %d socket closed" fl)
     | s -> s)
 
@@ -486,10 +734,10 @@ let send_peer t fl data =
 
 let udp_send_peer t ~port ?flow data =
   inject_cost t (Bytes.length data);
-  match Hashtbl.find_opt t.st.listeners port with
-  | None -> None
-  | Some sid ->
-    let s = Hashtbl.find t.st.socks sid in
+  match Hashtbl.find t.st.listeners port with
+  | exception Not_found -> None
+  | sid ->
+    let s = sock t sid in
     if s.proto <> Udp then None
     else begin
       let fl =
@@ -499,6 +747,7 @@ let udp_send_peer t ~port ?flow data =
           let fl = t.st.next_flow in
           t.st.next_flow <- fl + 1;
           Hashtbl.replace t.st.flows fl sid;
+          gain t t.j_flows t.st.flows fl;
           fl
       in
       s.inbox <- s.inbox @ [ (fl, Bytes.copy data) ];
@@ -525,7 +774,7 @@ let rec take fl s mine others = function
 
 let responses t fl =
   (* The flow's own socket plus any UDP socket that replied via sendto. *)
-  match Hashtbl.find t.st.socks (Hashtbl.find t.st.flows fl) with
+  match sock t (Hashtbl.find t.st.flows fl) with
   | s -> take fl s [] [] s.out_rev
   | exception Not_found ->
     Hashtbl.fold (fun _ s acc -> acc @ take fl s [] [] s.out_rev) t.st.socks []

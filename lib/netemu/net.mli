@@ -20,9 +20,18 @@
     All state is closure-free and registered with {!Nyx_snapshot.Aux_state},
     so whole-VM snapshots capture and restore kernel socket state exactly
     like the real system. A capture's image is the state's [Marshal]
-    bytes; a restore installs a copy of a template taken at capture time,
-    never decoding the image, and under [NYX_SANITIZE] checks that the
-    restored state re-marshals to those bytes. *)
+    bytes, and it keeps a template, a private copy of the state; a
+    restore never decodes the image. The last capture's template is the
+    base: the stack journals the keys its tables gain after that, and a
+    restore from the base reverts that journal in place, re-copying only
+    a table that lost or rebound a base key or resized, and rewriting the
+    base's socket records. A restore from any other template (the root's)
+    falls back to installing a fresh copy of it, which becomes the base.
+    Under [NYX_SANITIZE] every restore checks that the state re-marshals
+    to the captured bytes.
+
+    Sockets are found by index: the stack keeps sid -> socket and fd ->
+    sid arrays beside the state, so {!poll} and fd lookups do not hash. *)
 
 type t
 
@@ -45,6 +54,10 @@ val create : ?backend:backend -> ?boundaries:bool -> Nyx_sim.Clock.t -> t
 
 val register_aux : t -> Nyx_snapshot.Aux_state.t -> unit
 (** Register this stack's state for whole-VM snapshots. *)
+
+val image : t -> bytes
+(** The state's [Marshal] image: what a capture records, and what a
+    restore must reproduce byte for byte. *)
 
 val backend : t -> backend
 

@@ -134,18 +134,18 @@ let take_incremental t =
         ("cost_ns", Nyx_obs.Trace.Int (vnow t - trace_v0));
       ]
 
+(* Runs on every suffix exec: a plain loop over the dirty stack, no
+   closure and no option per page. *)
 let restore_incremental t =
   let dirty = Memory.dirty t.vm.mem in
-  let restored = ref 0 in
-  Dirty_log.iter_stack dirty t.vm.clock (fun pfn ->
-      charge_page t;
-      incr restored;
-      match Hashtbl.find_opt t.mirror pfn with
-      | Some content -> Memory.set_page t.vm.mem pfn content
-      | None -> (
-        match Root.page t.root pfn with
-        | Some content -> Memory.set_page t.vm.mem pfn content
-        | None -> Memory.drop_page t.vm.mem pfn));
+  let restored = Dirty_log.charge_stack dirty t.vm.clock in
+  for i = 0 to restored - 1 do
+    let pfn = Dirty_log.stack_entry dirty i in
+    charge_page t;
+    match Hashtbl.find t.mirror pfn with
+    | content -> Memory.set_page t.vm.mem pfn content
+    | exception Not_found -> Root.revert_page t.root t.vm.mem pfn
+  done;
   Dirty_log.clear dirty;
   (match (t.inc_device, t.inc_aux) with
   | Some dev, Some aux ->
@@ -153,7 +153,7 @@ let restore_incremental t =
     Aux_state.restore t.aux t.vm.clock aux
   | _ -> assert false);
   Disk.reset_to_incremental t.vm.disk;
-  t.s_pages_restored <- t.s_pages_restored + !restored;
+  t.s_pages_restored <- t.s_pages_restored + restored;
   t.s_inc_restores <- t.s_inc_restores + 1
 
 let restore_root t =
@@ -178,9 +178,7 @@ let restore_root t =
     Hashtbl.iter
       (fun pfn _ ->
         charge_page t;
-        match Root.page t.root pfn with
-        | Some content -> Memory.set_page t.vm.mem pfn content
-        | None -> Memory.drop_page t.vm.mem pfn)
+        Root.revert_page t.root t.vm.mem pfn)
       t.mirror;
     Disk.drop_incremental t.vm.disk;
     t.inc_device <- None;

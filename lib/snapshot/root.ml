@@ -22,20 +22,23 @@ let create (vm : Vm.t) aux_reg =
 
 let page t pfn = Hashtbl.find_opt t.pages pfn
 
+let revert_page t mem pfn =
+  match Hashtbl.find t.pages pfn with
+  | content -> Memory.set_page mem pfn content
+  | exception Not_found -> Memory.drop_page mem pfn
+
 let restore ?(disk = true) (vm : Vm.t) aux_reg t =
   let dirty = Memory.dirty vm.mem in
-  let restored = ref 0 in
-  Dirty_log.iter_stack dirty vm.clock (fun pfn ->
-      Nyx_sim.Clock.advance vm.clock Nyx_sim.Cost.page_copy;
-      (match page t pfn with
-      | Some content -> Memory.set_page vm.mem pfn content
-      | None -> Memory.drop_page vm.mem pfn);
-      incr restored);
+  let restored = Dirty_log.charge_stack dirty vm.clock in
+  for i = 0 to restored - 1 do
+    Nyx_sim.Clock.advance vm.clock Nyx_sim.Cost.page_copy;
+    revert_page t vm.mem (Dirty_log.stack_entry dirty i)
+  done;
   Dirty_log.clear dirty;
   Device_state.restore_fast vm.device vm.clock t.device;
   if disk then Disk.discard_overlays vm.disk;
   Aux_state.restore aux_reg vm.clock t.aux;
-  !restored
+  restored
 
 let pages_stored t = Hashtbl.length t.pages
 let stored_bytes t = pages_stored t * Page.size

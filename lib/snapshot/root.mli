@@ -24,6 +24,11 @@ val page : t -> int -> bytes option
     returned bytes are shared with the snapshot; callers must not
     mutate them. *)
 
+val revert_page : t -> Nyx_vm.Memory.t -> int -> unit
+(** [revert_page t mem pfn] puts page [pfn] of [mem] back to its content
+    in the snapshot image (dropping it when that is the zero page),
+    without marking it dirty and without charging. *)
+
 val pages_stored : t -> int
 (** Materialized pages held by the snapshot (for memory accounting). *)
 

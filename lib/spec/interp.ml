@@ -40,6 +40,28 @@ let initial_env ?(sanitize = sanitize_default) p =
 let copy_env e =
   { values = Array.copy e.values; n = e.n; consumed = Option.map Bytes.copy e.consumed }
 
+(* [dst] becomes what [copy_env src] would give, without allocating when
+   [dst] is large enough: the first [src.n] values (and consumed flags)
+   are copied, and the slots [dst]'s last run filled beyond them are
+   zeroed, as they are in [src]. *)
+let blit_env ~src ~dst =
+  let n = src.n in
+  (match (src.consumed, dst.consumed) with
+  | None, None when Array.length dst.values >= n ->
+    Array.blit src.values 0 dst.values 0 n;
+    if dst.n > n then Array.fill dst.values n (dst.n - n) 0
+  | Some f, Some g when Array.length dst.values >= n ->
+    Array.blit src.values 0 dst.values 0 n;
+    Bytes.blit f 0 g 0 n;
+    if dst.n > n then begin
+      Array.fill dst.values n (dst.n - n) 0;
+      Bytes.fill g n (dst.n - n) '\000'
+    end
+  | _ ->
+    dst.values <- Array.copy src.values;
+    dst.consumed <- Option.map Bytes.copy src.consumed);
+  dst.n <- n
+
 let snapshot_op_index (p : Program.t) =
   let rec scan i =
     if i >= Array.length p.ops then None
@@ -94,6 +116,17 @@ let sanitize_check env i (op : Program.op) (nt : Spec.node_ty) flags =
       op.Program.args
   end
 
+(* The op's input values, built from the last argument back: one cons
+   cell per argument and nothing else. *)
+let rec inputs values args i acc =
+  if i < 0 then acc else inputs values args (i - 1) (values.(args.(i)) :: acc)
+
+let rec push_all env = function
+  | [] -> ()
+  | v :: rest ->
+    push env v;
+    push_all env rest
+
 let exec_op (p : Program.t) h env i =
   let op = p.ops.(i) in
   let nt = Spec.node p.spec op.Program.node in
@@ -102,12 +135,14 @@ let exec_op (p : Program.t) h env i =
   | None -> ());
   if nt.Spec.nt_id = Spec.snapshot_node_id then h.snapshot ()
   else begin
-    let inputs = Array.to_list (Array.map (fun idx -> env.values.(idx)) op.Program.args) in
-    let outputs = h.exec nt inputs op.Program.data in
+    let args = op.Program.args in
+    let outputs =
+      h.exec nt (inputs env.values args (Array.length args - 1) []) op.Program.data
+    in
     if List.length outputs <> Array.length nt.Spec.output_ids then
       invalid_arg (Printf.sprintf "Interp: handler for %s returned wrong output count"
                      nt.Spec.nt_name);
-    List.iter (push env) outputs
+    push_all env outputs
   end
 
 let run ?sanitize ?(from = 0) ?until ?env (p : Program.t) h =

@@ -44,6 +44,11 @@ val initial_env : ?sanitize:bool -> Program.t -> env
 
 val copy_env : env -> env
 
+val blit_env : src:env -> dst:env -> unit
+(** Make [dst] equal to [copy_env src], reusing [dst]'s arrays when they
+    are large enough: how a session's suffix runs start from the
+    snapshot's environment without allocating one per run. *)
+
 val snapshot_op_index : Program.t -> int option
 (** Index in [ops] of the snapshot opcode. *)
 

@@ -10,21 +10,34 @@ let map_size = 65536
    nonzero cells of [map], each once.  [hit] only pushes on a 0->nonzero
    transition and counts never return to zero except through [reset] /
    [restore], which rebuild the journal, so the invariant is maintained
-   everywhere. *)
+   everywhere.  The journal starts small and doubles when a new cell finds
+   it full: an execution touches a few hundred cells, and a 64 Ki-entry
+   array per executor would cost more to allocate than a campaign's first
+   executions. *)
 type t = {
   map : Bytes.t;
   mutable prev : int;
-  journal : int array;  (* dense prefix [0, live): indices of nonzero cells *)
+  mutable journal : int array;  (* dense prefix [0, live): indices of nonzero cells *)
   mutable live : int;
 }
+
+let initial_journal = 256
 
 let create () =
   {
     map = Bytes.make map_size '\000';
     prev = 0;
-    journal = Array.make map_size 0;
+    journal = Array.make initial_journal 0;
     live = 0;
   }
+
+(* Room for at least [n] entries, keeping the first [live]. *)
+let reserve t n =
+  if n > Array.length t.journal then begin
+    let bigger = Array.make (min map_size (max n (2 * Array.length t.journal))) 0 in
+    Array.blit t.journal 0 bigger 0 t.live;
+    t.journal <- bigger
+  end
 
 let reset t =
   for k = 0 to t.live - 1 do
@@ -45,6 +58,7 @@ let hit t site =
   let idx = (site lxor t.prev) land (map_size - 1) in
   let c = Char.code (Bytes.unsafe_get t.map idx) in
   if c = 0 then begin
+    if t.live = Array.length t.journal then reserve t (t.live + 1);
     t.journal.(t.live) <- idx;
     t.live <- t.live + 1
   end;
@@ -109,6 +123,7 @@ let checkpoint_cells cp = Array.length cp.saved_cells
 let restore t cp =
   reset t;
   let n = Array.length cp.saved_cells in
+  reserve t n;
   for k = 0 to n - 1 do
     let cell = Array.unsafe_get cp.saved_cells k in
     Bytes.unsafe_set t.map cell (Bytes.unsafe_get cp.saved_counts k);

@@ -18,7 +18,11 @@ val write : t -> int -> bytes -> unit
 val read : t -> int -> int -> bytes
 
 val capture : t -> bytes
-(** Copy of the full blob (snapshot create side; cost charged by caller). *)
+(** An image of the full blob (snapshot create side; cost charged by
+    caller). Images are read-only: while nothing has written the blob
+    since it was last restored from or captured to an image, that image
+    is returned again instead of a fresh copy, and restoring it copies
+    nothing. *)
 
 val restore_fast : t -> Nyx_sim.Clock.t -> bytes -> unit
 (** Nyx's custom device reset: charges {!Nyx_sim.Cost.device_fast_reset}. *)

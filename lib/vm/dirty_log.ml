@@ -39,6 +39,14 @@ let iter_stack t clock f =
     f t.stack.(i)
   done
 
+let charge_stack t clock =
+  Nyx_sim.Clock.advance clock (t.stack_len * Nyx_sim.Cost.dirty_stack_entry);
+  t.stack_len
+
+let stack_entry t i =
+  if i < 0 || i >= t.stack_len then invalid_arg "Dirty_log.stack_entry: index out of range";
+  t.stack.(i)
+
 let iter_bitmap t clock f =
   Nyx_sim.Clock.advance clock (t.pages * Nyx_sim.Cost.bitmap_scan_per_page);
   for pfn = 0 to t.pages - 1 do

@@ -27,6 +27,14 @@ val iter_stack : t -> Nyx_sim.Clock.t -> (int -> unit) -> unit
 (** Enumerate dirty pages via Nyx's stack, charging
     {!Nyx_sim.Cost.dirty_stack_entry} per entry. *)
 
+val charge_stack : t -> Nyx_sim.Clock.t -> int
+(** Charge what {!iter_stack} charges for its walk and return {!count}:
+    with {!stack_entry}, the same walk without a closure, for the
+    snapshot engines' per-exec restore. *)
+
+val stack_entry : t -> int -> int
+(** [stack_entry t i] is the [i]th page dirtied, [0 <= i < count t]. *)
+
 val iter_bitmap : t -> Nyx_sim.Clock.t -> (int -> unit) -> unit
 (** Enumerate dirty pages by scanning the whole bitmap, charging
     {!Nyx_sim.Cost.bitmap_scan_per_page} per page in the VM — the

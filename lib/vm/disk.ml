@@ -53,8 +53,12 @@ let write_sector t sector data =
 
 let dirty_sectors t = Hashtbl.length t.overlay
 
+(* An overlay no sector was written to is already what a fresh one would
+   be: keep it rather than allocate a table per restore. *)
+let clear_overlay t = if Hashtbl.length t.overlay > 0 then t.overlay <- Hashtbl.create 64
+
 let discard_overlays t =
-  t.overlay <- Hashtbl.create 64;
+  clear_overlay t;
   t.incremental <- None
 
 let freeze_incremental t =
@@ -66,8 +70,8 @@ let freeze_incremental t =
     Hashtbl.iter (fun k v -> Hashtbl.replace inc k v) t.overlay);
   t.overlay <- Hashtbl.create 64
 
-let reset_to_incremental t = t.overlay <- Hashtbl.create 64
+let reset_to_incremental t = clear_overlay t
 
 let drop_incremental t =
   t.incremental <- None;
-  t.overlay <- Hashtbl.create 64
+  clear_overlay t

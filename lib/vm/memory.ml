@@ -1,13 +1,29 @@
+(* A two-level page table: a directory of leaves, each holding the pages
+   of one 256-page range. A leaf exists once a page in its range has
+   materialized; an absent leaf is [[||]] and an absent page [Bytes.empty]
+   (real pages are [Page.size] long), so a lookup is two array reads and
+   allocates nothing. A flat array of every page would cost a word per
+   guest page at creation (256 KiB for the fuzzing VM); the directory
+   costs one per 256. *)
+let leaf_bits = 8
+let leaf_pages = 1 lsl leaf_bits
+
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
+  dir : Bytes.t array array;
   num_pages : int;
   dirty : Dirty_log.t;
+  mutable count : int; (* materialized pages *)
 }
 
 exception Fault of { addr : int; size : int }
 
 let create ~num_pages =
-  { pages = Hashtbl.create 256; num_pages; dirty = Dirty_log.create ~num_pages }
+  {
+    dir = Array.make ((num_pages + leaf_pages - 1) lsr leaf_bits) [||];
+    num_pages;
+    dirty = Dirty_log.create ~num_pages;
+    count = 0;
+  }
 
 let num_pages t = t.num_pages
 let size_bytes t = t.num_pages * Page.size
@@ -17,13 +33,35 @@ let check t addr len =
   if addr < 0 || len < 0 || addr + len > size_bytes t then
     raise (Fault { addr; size = len })
 
+(* The page at [pfn], or [Bytes.empty] when it never materialized. *)
+let find t pfn =
+  let leaf = t.dir.(pfn lsr leaf_bits) in
+  if Array.length leaf = 0 then Bytes.empty
+  else Array.unsafe_get leaf (pfn land (leaf_pages - 1))
+
+let absent p = Bytes.length p = 0
+
+let install t pfn p =
+  let d = pfn lsr leaf_bits in
+  let leaf =
+    match t.dir.(d) with
+    | [||] ->
+      let leaf = Array.make leaf_pages Bytes.empty in
+      t.dir.(d) <- leaf;
+      leaf
+    | leaf -> leaf
+  in
+  leaf.(pfn land (leaf_pages - 1)) <- p;
+  t.count <- t.count + 1
+
 let materialize t pfn =
-  match Hashtbl.find_opt t.pages pfn with
-  | Some p -> p
-  | None ->
+  let p = find t pfn in
+  if absent p then begin
     let p = Page.zero () in
-    Hashtbl.replace t.pages pfn p;
+    install t pfn p;
     p
+  end
+  else p
 
 let read t addr len =
   check t addr len;
@@ -33,9 +71,8 @@ let read t addr len =
     let a = addr + !pos in
     let pfn = Page.number a and off = Page.offset a in
     let chunk = min (len - !pos) (Page.size - off) in
-    (match Hashtbl.find_opt t.pages pfn with
-    | Some p -> Bytes.blit p off out !pos chunk
-    | None -> Bytes.fill out !pos chunk '\000');
+    let p = find t pfn in
+    if absent p then Bytes.fill out !pos chunk '\000' else Bytes.blit p off out !pos chunk;
     pos := !pos + chunk
   done;
   out
@@ -64,9 +101,8 @@ let single_page addr len = Page.offset addr + len <= Page.size
 
 let read_u8 t addr =
   check t addr 1;
-  match Hashtbl.find_opt t.pages (Page.number addr) with
-  | Some p -> Char.code (Bytes.get p (Page.offset addr))
-  | None -> 0
+  let p = find t (Page.number addr) in
+  if absent p then 0 else Char.code (Bytes.get p (Page.offset addr))
 
 let write_u8 t addr v =
   check t addr 1;
@@ -78,9 +114,8 @@ let write_u8 t addr v =
 let read_u16 t addr =
   if single_page addr 2 then begin
     check t addr 2;
-    match Hashtbl.find_opt t.pages (Page.number addr) with
-    | Some p -> Bytes.get_uint16_le p (Page.offset addr)
-    | None -> 0
+    let p = find t (Page.number addr) in
+    if absent p then 0 else Bytes.get_uint16_le p (Page.offset addr)
   end
   else begin
     let b = read t addr 2 in
@@ -105,9 +140,8 @@ let write_u16 t addr v =
 let read_i32 t addr =
   if single_page addr 4 then begin
     check t addr 4;
-    match Hashtbl.find_opt t.pages (Page.number addr) with
-    | Some p -> Int32.to_int (Bytes.get_int32_le p (Page.offset addr))
-    | None -> 0
+    let p = find t (Page.number addr) in
+    if absent p then 0 else Int32.to_int (Bytes.get_int32_le p (Page.offset addr))
   end
   else begin
     let b = read t addr 4 in
@@ -138,9 +172,8 @@ let write_i32 t addr v =
 let read_i64 t addr =
   if single_page addr 8 then begin
     check t addr 8;
-    match Hashtbl.find_opt t.pages (Page.number addr) with
-    | Some p -> Int64.to_int (Bytes.get_int64_le p (Page.offset addr))
-    | None -> 0
+    let p = find t (Page.number addr) in
+    if absent p then 0 else Int64.to_int (Bytes.get_int64_le p (Page.offset addr))
   end
   else begin
     let b = read t addr 8 in
@@ -174,20 +207,31 @@ let write_i64 t addr v =
 let clear_dirty t = Dirty_log.clear t.dirty
 
 let page_content t pfn =
-  match Hashtbl.find_opt t.pages pfn with
-  | Some p -> Some (Bytes.copy p)
-  | None -> None
+  let p = find t pfn in
+  if absent p then None else Some (Bytes.copy p)
 
 let set_page t pfn content =
   if Bytes.length content <> Page.size then
     invalid_arg "Memory.set_page: wrong page size";
-  match Hashtbl.find_opt t.pages pfn with
-  | Some p -> Bytes.blit content 0 p 0 Page.size
-  | None -> Hashtbl.replace t.pages pfn (Bytes.copy content)
+  let p = find t pfn in
+  if absent p then install t pfn (Bytes.copy content) else Bytes.blit content 0 p 0 Page.size
 
-let drop_page t pfn = Hashtbl.remove t.pages pfn
+let drop_page t pfn =
+  if not (absent (find t pfn)) then begin
+    t.dir.(pfn lsr leaf_bits).(pfn land (leaf_pages - 1)) <- Bytes.empty;
+    t.count <- t.count - 1
+  end
 
+(* Walks the leaves that exist, in page order. *)
 let materialized t =
-  Hashtbl.to_seq t.pages
+  let rec from d i () =
+    if d >= Array.length t.dir then Seq.Nil
+    else
+      let leaf = t.dir.(d) in
+      if i >= Array.length leaf then from (d + 1) 0 ()
+      else if absent leaf.(i) then from d (i + 1) ()
+      else Seq.Cons (((d lsl leaf_bits) + i, leaf.(i)), from d (i + 1))
+  in
+  from 0 0
 
-let materialized_count t = Hashtbl.length t.pages
+let materialized_count t = t.count

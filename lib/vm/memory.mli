@@ -1,5 +1,7 @@
-(** Sparse guest-physical memory.
+(** Guest-physical memory in a two-level page table.
 
+    A directory holds one leaf per 256-page range, allocated when the
+    first page in its range materializes; a lookup is two array reads.
     Pages are materialized on first write; unmaterialized pages read as
     zeroes. Every write marks the touched pages in the {!Dirty_log}, which
     is what the snapshot engines consume. Reads and writes are cost-free at
@@ -41,7 +43,8 @@ val clear_dirty : t -> unit
 (** {1 Snapshot-engine interface}
 
     These bypass dirty tracking: they implement snapshot create/restore
-    rather than guest execution. *)
+    rather than guest execution. Page numbers must lie in
+    [\[0, num_pages)]. *)
 
 val page_content : t -> int -> bytes option
 (** [None] when the page was never materialized (all zero). The returned
@@ -54,6 +57,7 @@ val drop_page : t -> int -> unit
 (** Return a page to the pristine zero state without marking it dirty. *)
 
 val materialized : t -> (int * bytes) Seq.t
-(** All materialized pages (live references; do not mutate). *)
+(** All materialized pages in page order (live references; do not
+    mutate). *)
 
 val materialized_count : t -> int

@@ -1195,31 +1195,36 @@ let test_typed_alloc_bound () =
 
 (* CI guard: a suffix execution allocates for what the target does, not
    for host bookkeeping around it (edge-id strings, poll lists, decoding
-   the netemu image on restore). Words per [Executor.run_suffix] on each
-   registry target's first seed with at least 2 packets, snapshot after
-   half its packets. Measured after binding edge ids once (OCaml 5.1):
-   586 (mysql-client) to 2,194 (kamailio), lightftp 931; before, 781 to
-   2,784 and lightftp 1,288. Each bound is the measured value plus 25%
-   for other compiler versions. *)
+   or copying the netemu state on restore). Words per
+   [Executor.run_suffix] on each registry target's first seed with at
+   least 2 packets, snapshot after half its packets. Measured after
+   netemu's restore became a journal reverted in place, guest pages a
+   page table, the disk overlay and device blob untouched when unwritten
+   and the suffix env reused (OCaml 5.1): 161 (echo) to 1,718
+   (kamailio), lightftp 217; before, 511 to 2,118, echo 520 and lightftp
+   638. Under NYX_SANITIZE every restore also re-marshals netemu's state
+   (50-100 words more: 217 to 1,770, lightftp 287), so that mode has its
+   own bound. Each bound is the measured value plus 25% for other
+   compiler versions: (target, plain, sanitized). *)
 let suffix_word_bounds =
   [
-    ("bftpd", 1_740);
-    ("dcmtk", 840);
-    ("dnsmasq", 930);
-    ("exim", 1_530);
-    ("forked-daapd", 1_410);
-    ("kamailio", 2_750);
-    ("lightftp", 1_170);
-    ("live555", 2_740);
-    ("openssh", 1_110);
-    ("openssl", 770);
-    ("proftpd", 1_220);
-    ("pure-ftpd", 1_190);
-    ("tinydtls", 1_040);
-    ("echo", 760);
-    ("firefox-ipc", 1_300);
-    ("mysql-client", 740);
-    ("lighttpd", 1_700);
+    ("bftpd", 430, 550);
+    ("dcmtk", 270, 340);
+    ("dnsmasq", 330, 400);
+    ("exim", 630, 750);
+    ("forked-daapd", 850, 920);
+    ("kamailio", 2_150, 2_220);
+    ("lightftp", 280, 360);
+    ("live555", 2_060, 2_150);
+    ("openssh", 430, 510);
+    ("openssl", 220, 290);
+    ("proftpd", 410, 500);
+    ("pure-ftpd", 300, 390);
+    ("tinydtls", 440, 500);
+    ("echo", 210, 280);
+    ("firefox-ipc", 500, 600);
+    ("mysql-client", 230, 300);
+    ("lighttpd", 1_140, 1_210);
   ]
 
 let test_suffix_alloc_bound () =
@@ -1249,7 +1254,10 @@ let test_suffix_alloc_bound () =
         done;
         let words = (Gc.minor_words () -. w0) /. float_of_int runs in
         Executor.end_session exec session;
-        let bound = List.assoc name suffix_word_bounds in
+        let bound =
+          match List.find (fun (n, _, _) -> n = name) suffix_word_bounds with
+          | _, plain, sanitized -> if Nyx_sim.Sanitize.armed then sanitized else plain
+        in
         if words > float_of_int bound then
           Alcotest.failf "%s: run_suffix allocates %.0f words per exec (bound %d)" name words
             bound)
@@ -1262,18 +1270,18 @@ let test_suffix_alloc_bound () =
    plan seed 7) and a length-lie selector on every packet. tinydtls and
    mysql-client sessions do not start when every packet lies about a
    length, so only the FTP scripts have faulted bounds. Measured after
-   building script messages once, scanning replies in place, draining a
-   lone reply without a copy and formatting fault details only when
-   traced (OCaml 5.1): lightftp 792, proftpd 804, tinydtls 760,
-   mysql-client 597; faulted lightftp 1,243, proftpd 1,029. Before:
-   1,440, 1,376, 1,171, 833; faulted 2,085 and 1,716. Each bound is the
-   measured value plus 25%. *)
+   netemu's restore became a journal reverted in place (OCaml 5.1):
+   lightftp 285, proftpd 315, tinydtls 331, mysql-client 214; faulted
+   lightftp 602, proftpd 490. Before: 764, 777, 736, 576; faulted 1,215
+   and 1,003. Under NYX_SANITIZE: 369, 394, 403, 273; faulted 686 and
+   569. Each bound is the measured value plus 25%: (script, plain,
+   sanitized), each (fault-free, faulted). *)
 let peer_suffix_word_bounds =
   [
-    ("lightftp", (1_000, Some 1_560));
-    ("proftpd", (1_010, Some 1_290));
-    ("tinydtls", (960, None));
-    ("mysql-client", (750, None));
+    ("lightftp", (360, Some 760), (470, Some 860));
+    ("proftpd", (400, Some 620), (500, Some 720));
+    ("tinydtls", (420, None), (510, None));
+    ("mysql-client", (270, None), (350, None));
   ]
 
 (* [p] with the fault selector of every packet payload set to [sel]. *)
@@ -1346,7 +1354,10 @@ let test_peer_suffix_alloc_bound () =
   let failures =
     List.concat_map
       (fun name ->
-        let bound, faulted_bound = List.assoc name peer_suffix_word_bounds in
+        let bound, faulted_bound =
+          match List.find (fun (n, _, _) -> n = name) peer_suffix_word_bounds with
+          | _, plain, sanitized -> if Nyx_sim.Sanitize.armed then sanitized else plain
+        in
         over "peer" name (words name ~faulted:false) (Some bound)
         @ over "faulted peer" name (words name ~faulted:true) faulted_bound)
       names
@@ -1455,6 +1466,656 @@ let prop_reply_str_matches_reference =
         (fun code ->
           Bytes.equal (sent Nyx_targets.Ftp_common.reply_str code) (sent Ref_peer.reply_str code))
         (List.init 1201 Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Host state: netemu's journaled restore, its socket indexes and the
+   guest page table, against the code they replaced.                  *)
+
+module Aux = Nyx_snapshot.Aux_state
+
+(* The parent's netemu state layout, to read [Net.image] back, and its
+   two-fold [poll] and hashed fd lookup, verbatim over that state. *)
+module Ref_net = struct
+  type proto = Nyx_netemu.Net.proto = Tcp | Udp | Unix_sock
+
+  type sock = {
+    sid : int;
+    proto : proto;
+    mutable port : int;
+    mutable listening : bool;
+    mutable backlog : int list; (* pending connection sids, oldest first *)
+    mutable inbox : (int * Bytes.t) list; (* (flow, packet), oldest first *)
+    mutable partial : (int * Bytes.t) option; (* unconsumed tail of a packet *)
+    mutable out_rev : (int * Bytes.t) list;
+    mutable peer_open : bool;
+    mutable eof_pending : bool;
+    mutable refcount : int;
+    mutable conn_flow : int; (* TCP/Unix connection's flow id; -1 otherwise *)
+    mutable reply_flow : int; (* last recvfrom peer, for connectionless send *)
+    mutable write_shut : bool;
+    mutable options : (string * int) list;
+    mutable outbound : bool;
+  }
+
+  type state = {
+    socks : (int, sock) Hashtbl.t;
+    fds : (int, int * int) Hashtbl.t; (* fd -> (sid, per-process refcount) *)
+    flows : (int, int) Hashtbl.t; (* flow -> sid *)
+    listeners : (int, int) Hashtbl.t; (* port -> sid *)
+    mutable next_fd : int;
+    mutable next_sid : int;
+    mutable next_flow : int;
+    mutable processes : int;
+    mutable syscalls : int;
+  }
+
+  let of_image b : state = Marshal.from_bytes b 0
+
+  exception Bad_fd of int
+
+  let sock_of_fd st fd =
+    match Hashtbl.find_opt st.fds fd with
+    | None -> raise (Bad_fd fd)
+    | Some (sid, _) -> Hashtbl.find st.socks sid
+
+  type readiness = Idle | Acceptable | Readable
+
+  let readiness s =
+    match (s.backlog, s.proto) with
+    | _ :: _, (Tcp | Unix_sock) when s.listening -> Acceptable
+    | _ -> (
+      match (s.inbox, s.partial) with
+      | _ :: _, _ | _, Some _ -> Readable
+      | [], None -> if s.eof_pending then Readable else Idle)
+
+  let lowest_ready socks above =
+    Hashtbl.fold
+      (fun sid s best ->
+        if sid <= above || 2 * sid > best then best
+        else
+          match readiness s with
+          | Idle -> best
+          | Acceptable -> 2 * sid
+          | Readable -> (2 * sid) + 1)
+      socks max_int
+
+  let lowest_fd fds sid =
+    Hashtbl.fold (fun fd (s, _) best -> if s = sid && fd < best then fd else best) fds max_int
+
+  let rec poll_above st above =
+    let key = lowest_ready st.socks above in
+    if key = max_int then None
+    else
+      let fd = lowest_fd st.fds (key / 2) in
+      if fd = max_int then poll_above st (key / 2)
+      else if key land 1 = 0 then Some (`Accept fd)
+      else Some (`Read fd)
+
+  let poll st = poll_above st 0
+end
+
+(* A random script of target- and executor-side calls. Fds, flows and
+   ports are drawn from small ranges so that most calls hit something;
+   the rest fail the way a target's bad call would. *)
+type net_op =
+  | Socket of bool (* UDP *)
+  | Bind of int * int
+  | Listen of int
+  | Connect of int
+  | Accept_ready
+  | Recv of int * int
+  | Recvfrom of int * int
+  | Send of int * string
+  | Sendto of int * int * string
+  | Close of int
+  | Close_peer of int
+  | Shutdown of int * int
+  | Dup of int
+  | Fork
+  | Setsockopt of int * int
+  | Send_peer of int * string
+  | Udp_send of int * int option * string
+  | Responses of int
+  | Connect_out of int * int
+  | Burst of int (* connections accepted on port 8080, past a resize *)
+  | Bind_many of int (* sockets bound from this port up, past a resize *)
+  | Poll
+  | Peek of int * int
+
+let print_net_op = function
+  | Socket u -> Printf.sprintf "socket%s" (if u then "/udp" else "")
+  | Bind (fd, p) -> Printf.sprintf "bind %d %d" fd p
+  | Listen fd -> Printf.sprintf "listen %d" fd
+  | Connect p -> Printf.sprintf "connect %d" p
+  | Accept_ready -> "accept-ready"
+  | Recv (fd, m) -> Printf.sprintf "recv %d %d" fd m
+  | Recvfrom (fd, m) -> Printf.sprintf "recvfrom %d %d" fd m
+  | Send (fd, d) -> Printf.sprintf "send %d %S" fd d
+  | Sendto (fd, fl, d) -> Printf.sprintf "sendto %d %d %S" fd fl d
+  | Close fd -> Printf.sprintf "close %d" fd
+  | Close_peer fl -> Printf.sprintf "close-peer %d" fl
+  | Shutdown (fd, h) -> Printf.sprintf "shutdown %d %d" fd h
+  | Dup fd -> Printf.sprintf "dup %d" fd
+  | Fork -> "fork"
+  | Setsockopt (fd, v) -> Printf.sprintf "setsockopt %d %d" fd v
+  | Send_peer (fl, d) -> Printf.sprintf "send-peer %d %S" fl d
+  | Udp_send (p, fl, d) ->
+    Printf.sprintf "udp-send %d %s %S" p (match fl with None -> "-" | Some f -> string_of_int f) d
+  | Responses fl -> Printf.sprintf "responses %d" fl
+  | Connect_out (fd, p) -> Printf.sprintf "connect-out %d %d" fd p
+  | Burst n -> Printf.sprintf "burst %d" n
+  | Bind_many p -> Printf.sprintf "bind-many %d" p
+  | Poll -> "poll"
+  | Peek (fd, m) -> Printf.sprintf "peek %d %d" fd m
+
+let gen_net_op =
+  let open QCheck.Gen in
+  let fd = int_range 2 24 and flow = int_range 0 24 and port = oneofl [ 21; 53; 80; 8080 ] in
+  let data = string_size ~gen:(char_range 'a' 'e') (int_range 0 6) in
+  frequency
+    [
+      (3, map (fun u -> Socket u) bool);
+      (2, map2 (fun fd p -> Bind (fd, p)) fd port);
+      (2, map (fun fd -> Listen fd) fd);
+      (4, map (fun p -> Connect p) port);
+      (4, return Accept_ready);
+      (4, map2 (fun fd m -> Recv (fd, m)) fd (int_range 1 8));
+      (2, map2 (fun fd m -> Recvfrom (fd, m)) fd (int_range 1 8));
+      (3, map2 (fun fd d -> Send (fd, d)) fd data);
+      (2, map3 (fun fd fl d -> Sendto (fd, fl, d)) fd flow data);
+      (3, map (fun fd -> Close fd) fd);
+      (2, map (fun fl -> Close_peer fl) flow);
+      (1, map2 (fun fd h -> Shutdown (fd, h)) fd (int_range 0 2));
+      (2, map (fun fd -> Dup fd) fd);
+      (1, return Fork);
+      (2, map2 (fun fd v -> Setsockopt (fd, v)) fd (int_range 0 3));
+      (4, map2 (fun fl d -> Send_peer (fl, d)) flow data);
+      (2, map3 (fun p fl d -> Udp_send (p, fl, d)) port (opt flow) data);
+      (3, map (fun fl -> Responses fl) flow);
+      (1, map2 (fun fd p -> Connect_out (fd, p)) fd (int_range 9000 9003));
+      (1, map (fun n -> Burst n) (int_range 20 40));
+      (1, map (fun p -> Bind_many p) (oneofl [ 1000; 2000 ]));
+      (3, return Poll);
+      (1, map2 (fun fd m -> Peek (fd, m)) fd (int_range 1 8));
+    ]
+
+let option_names = [| "SO_REUSEADDR"; "TCP_NODELAY"; "SO_KEEPALIVE"; "SO_RCVBUF" |]
+
+(* Runs [op] and describes what it returned or raised. Every fd a call
+   hands out is tagged with an "id" option naming it, so a lookup that
+   found the wrong socket shows in what later calls return. *)
+let run_net_op net op =
+  let module N = Nyx_netemu.Net in
+  let b = Bytes.of_string and str = Bytes.to_string in
+  let tag fd =
+    N.setsockopt net fd "id" fd;
+    string_of_int fd
+  in
+  let accept_ready () =
+    match N.poll net with
+    | Some (`Accept fd) -> tag (N.accept net fd)
+    | Some (`Read fd) -> "read " ^ string_of_int fd
+    | None -> "idle"
+  in
+  try
+    match op with
+    | Socket udp -> tag (N.socket net (if udp then N.Udp else N.Tcp))
+    | Bind (fd, p) -> N.bind net fd p; "ok"
+    | Listen fd -> N.listen net fd; "ok"
+    | Connect p -> (
+      match N.connect_peer net ~port:p with Some fl -> string_of_int fl | None -> "refused")
+    | Accept_ready -> accept_ready ()
+    | Recv (fd, max) -> str (N.recv net fd ~max)
+    | Recvfrom (fd, max) ->
+      let d, fl = N.recvfrom net fd ~max in
+      Printf.sprintf "%s from %d" (str d) fl
+    | Send (fd, d) -> string_of_int (N.send net fd (b d))
+    | Sendto (fd, fl, d) -> string_of_int (N.sendto net fd fl (b d))
+    | Close fd -> N.close net fd; "ok"
+    | Close_peer fl -> N.close_peer net fl; "ok"
+    | Shutdown (fd, h) ->
+      N.shutdown net fd (match h with 0 -> `Read | 1 -> `Write | _ -> `Both);
+      "ok"
+    | Dup fd -> tag (N.dup net fd)
+    | Fork -> string_of_int (N.fork net)
+    | Setsockopt (fd, v) ->
+      N.setsockopt net fd option_names.(v) v;
+      string_of_int (N.getsockopt net fd option_names.(v))
+    | Send_peer (fl, d) -> N.send_peer net fl (b d); "ok"
+    | Udp_send (p, flow, d) -> (
+      match N.udp_send_peer net ~port:p ?flow (b d) with
+      | Some fl -> string_of_int fl
+      | None -> "none")
+    | Responses fl -> String.concat "|" (List.map str (N.responses net fl))
+    | Connect_out (fd, p) -> string_of_int (N.connect_out net fd ~port:p)
+    | Burst n ->
+      for _ = 1 to n do
+        ignore (N.connect_peer net ~port:8080)
+      done;
+      String.concat "," (List.init n (fun _ -> accept_ready ()))
+    | Bind_many p ->
+      for i = 0 to 11 do
+        N.bind net (N.socket net N.Udp) (p + i)
+      done;
+      "ok"
+    | Poll -> (
+      match N.poll net with
+      | Some (`Accept fd) -> "accept " ^ string_of_int fd
+      | Some (`Read fd) -> "read " ^ string_of_int fd
+      | None -> "idle")
+    | Peek (fd, max) -> str (N.peek net fd ~max)
+  with
+  | N.Would_block fd -> Printf.sprintf "would-block %d" fd
+  | N.Bad_fd fd -> Printf.sprintf "bad-fd %d" fd
+  | Invalid_argument m -> "invalid: " ^ m
+  | Not_found -> "not-found"
+
+(* Every case starts from a TCP listener on 8080 and a UDP socket on
+   53, then runs a random setup. *)
+let net_preamble = [ Socket false; Bind (3, 8080); Listen 3; Socket true; Bind (4, 53) ]
+
+let net_ops n = QCheck.Gen.list_size (QCheck.Gen.int_range 0 n) gen_net_op
+let print_net_ops ops = String.concat "; " (List.map print_net_op ops)
+
+let make_net () =
+  let clock = Nyx_sim.Clock.create () in
+  let net = Nyx_netemu.Net.create clock in
+  let aux = Aux.create () in
+  Nyx_netemu.Net.register_aux net aux;
+  (net, aux, clock)
+
+(* A capture's restore, from its base (journal reverted in place) and
+   from another template (a fresh copy installed), against a twin that
+   always installs a copy: a fresh capture moves the twin's base away
+   before each round. After every restore both stacks must re-marshal
+   to the captured image, and the next round's calls must return the
+   same on both. *)
+let prop_net_restore_matches_copy =
+  let case =
+    QCheck.Gen.(
+      quad (net_ops 12) (net_ops 12) (list_size (int_range 1 3) (net_ops 16)) (net_ops 16))
+  in
+  QCheck.Test.make ~name:"journaled netemu restore == captured image == copied twin" ~count:400
+    (QCheck.make
+       ~print:(fun (setup, prefix, rounds, after) ->
+         String.concat "\n"
+           ([ "setup: " ^ print_net_ops setup; "prefix: " ^ print_net_ops prefix ]
+           @ List.map (fun r -> "round: " ^ print_net_ops r) rounds
+           @ [ "after root: " ^ print_net_ops after ]))
+       case)
+    (fun (setup, prefix, rounds, after) ->
+      let module N = Nyx_netemu.Net in
+      let net, aux, clock = make_net () and twin, taux, tclock = make_net () in
+      let both ops = ignore (List.map (run_net_op net) ops, List.map (run_net_op twin) ops) in
+      both (net_preamble @ setup);
+      let root = Aux.capture aux clock and troot = Aux.capture taux tclock in
+      let root_image = N.image net in
+      both prefix;
+      let inc = Aux.capture aux clock and tinc = Aux.capture taux tclock in
+      let inc_image = N.image net in
+      let round cap tcap image ops =
+        ignore (Aux.capture taux tclock);
+        let got = List.map (run_net_op net) ops and want = List.map (run_net_op twin) ops in
+        Aux.restore aux clock cap;
+        Aux.restore taux tclock tcap;
+        got = want && Bytes.equal (N.image net) image && Bytes.equal (N.image twin) image
+      in
+      List.for_all (round inc tinc inc_image) rounds
+      (* The root's template is not the base: the first restore installs
+         a copy, which makes it the base for the second. *)
+      && round root troot root_image after
+      && round root troot root_image after
+      && round inc tinc inc_image after)
+
+(* After every call of a random script, with captures and restores
+   mixed in, [poll] and each fd's socket agree with the parent's
+   two-fold [poll] and hashed lookup run on the decoded image, and a
+   packet sent on each flow reaches a socket exactly when the image
+   maps the flow to an open one (the sends are undone by restoring a
+   capture taken before them). Sockets no fd refers to arise from
+   connects never accepted and from closed listeners with a backlog. *)
+(* domain-safe: the ref is allocated per call of the property. *)
+let prop_net_index_matches_reference =
+  let step =
+    QCheck.Gen.(frequency [ (12, map Option.some gen_net_op); (1, return None) ])
+  in
+  QCheck.Test.make ~name:"indexed poll and fd lookup == two-fold reference" ~count:400
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map (function Some op -> print_net_op op | None -> "capture/restore") ops))
+       QCheck.Gen.(list_size (int_range 0 40) step))
+    (fun steps ->
+      let module N = Nyx_netemu.Net in
+      let net, aux, clock = make_net () in
+      List.iter (fun op -> ignore (run_net_op net op)) net_preamble;
+      let cap = ref None in
+      List.for_all
+        (fun step ->
+          (match (step, !cap) with
+          | Some op, _ -> ignore (run_net_op net op)
+          | None, None -> cap := Some (Aux.capture aux clock)
+          | None, Some c -> Aux.restore aux clock c);
+          let st = Ref_net.of_image (N.image net) in
+          let lookup fd =
+            match N.getsockopt net fd "id" with
+            | v -> Some v
+            | exception N.Bad_fd _ -> None
+          and ref_lookup fd =
+            match Ref_net.sock_of_fd st fd with
+            | s -> Some (Option.value ~default:0 (List.assoc_opt "id" s.Ref_net.options))
+            | exception Ref_net.Bad_fd _ -> None
+          in
+          let reaches fl =
+            match N.send_peer net fl (Bytes.of_string "x") with
+            | () -> true
+            | exception Invalid_argument _ -> false
+          and ref_reaches fl =
+            match Hashtbl.find_opt st.Ref_net.flows fl with
+            | Some sid -> Hashtbl.mem st.Ref_net.socks sid
+            | None -> false
+          in
+          let want = Ref_net.poll st in
+          N.poll net = want
+          && List.for_all (fun fd -> lookup fd = ref_lookup fd) (List.init 60 Fun.id)
+          &&
+          let before = Aux.capture aux clock in
+          let flows_agree =
+            List.for_all (fun fl -> reaches fl = ref_reaches fl) (List.init 60 Fun.id)
+          in
+          Aux.restore aux clock before;
+          flows_agree)
+        steps)
+
+(* The parent's [Hashtbl]-backed guest memory, verbatim. *)
+module Ref_memory = struct
+  open Nyx_vm
+
+  type t = {
+    pages : (int, Bytes.t) Hashtbl.t;
+    num_pages : int;
+    dirty : Dirty_log.t;
+  }
+
+  exception Fault of { addr : int; size : int }
+
+  let create ~num_pages =
+    { pages = Hashtbl.create 256; num_pages; dirty = Dirty_log.create ~num_pages }
+
+  let size_bytes t = t.num_pages * Page.size
+
+  let check t addr len =
+    if addr < 0 || len < 0 || addr + len > size_bytes t then
+      raise (Fault { addr; size = len })
+
+  let materialize t pfn =
+    match Hashtbl.find_opt t.pages pfn with
+    | Some p -> p
+    | None ->
+      let p = Page.zero () in
+      Hashtbl.replace t.pages pfn p;
+      p
+
+  let read t addr len =
+    check t addr len;
+    let out = Bytes.create len in
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let pfn = Page.number a and off = Page.offset a in
+      let chunk = min (len - !pos) (Page.size - off) in
+      (match Hashtbl.find_opt t.pages pfn with
+      | Some p -> Bytes.blit p off out !pos chunk
+      | None -> Bytes.fill out !pos chunk '\000');
+      pos := !pos + chunk
+    done;
+    out
+
+  let write t addr data =
+    let len = Bytes.length data in
+    check t addr len;
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let pfn = Page.number a and off = Page.offset a in
+      let chunk = min (len - !pos) (Page.size - off) in
+      let p = materialize t pfn in
+      Bytes.blit data !pos p off chunk;
+      ignore (Dirty_log.mark t.dirty pfn);
+      pos := !pos + chunk
+    done
+
+  let single_page addr len = Page.offset addr + len <= Page.size
+
+  let read_u8 t addr =
+    check t addr 1;
+    match Hashtbl.find_opt t.pages (Page.number addr) with
+    | Some p -> Char.code (Bytes.get p (Page.offset addr))
+    | None -> 0
+
+  let write_u8 t addr v =
+    check t addr 1;
+    let pfn = Page.number addr in
+    let p = materialize t pfn in
+    Bytes.set p (Page.offset addr) (Char.chr (v land 0xff));
+    ignore (Dirty_log.mark t.dirty pfn)
+
+  let read_u16 t addr =
+    if single_page addr 2 then begin
+      check t addr 2;
+      match Hashtbl.find_opt t.pages (Page.number addr) with
+      | Some p -> Bytes.get_uint16_le p (Page.offset addr)
+      | None -> 0
+    end
+    else begin
+      let b = read t addr 2 in
+      Char.code (Bytes.get b 0) lor (Char.code (Bytes.get b 1) lsl 8)
+    end
+
+  let write_u16 t addr v =
+    if single_page addr 2 then begin
+      check t addr 2;
+      let pfn = Page.number addr in
+      let p = materialize t pfn in
+      Bytes.set_uint16_le p (Page.offset addr) (v land 0xffff);
+      ignore (Dirty_log.mark t.dirty pfn)
+    end
+    else begin
+      let b = Bytes.create 2 in
+      Bytes.set b 0 (Char.chr (v land 0xff));
+      Bytes.set b 1 (Char.chr ((v lsr 8) land 0xff));
+      write t addr b
+    end
+
+  let read_i32 t addr =
+    if single_page addr 4 then begin
+      check t addr 4;
+      match Hashtbl.find_opt t.pages (Page.number addr) with
+      | Some p -> Int32.to_int (Bytes.get_int32_le p (Page.offset addr))
+      | None -> 0
+    end
+    else begin
+      let b = read t addr 4 in
+      let v = ref 0 in
+      for i = 3 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get b i)
+      done;
+      (!v lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)
+    end
+
+  let write_i32 t addr v =
+    if single_page addr 4 then begin
+      check t addr 4;
+      let pfn = Page.number addr in
+      let p = materialize t pfn in
+      Bytes.set_int32_le p (Page.offset addr) (Int32.of_int v);
+      ignore (Dirty_log.mark t.dirty pfn)
+    end
+    else begin
+      let b = Bytes.create 4 in
+      for i = 0 to 3 do
+        Bytes.set b i (Char.chr ((v lsr (8 * i)) land 0xff))
+      done;
+      write t addr b
+    end
+
+  let read_i64 t addr =
+    if single_page addr 8 then begin
+      check t addr 8;
+      match Hashtbl.find_opt t.pages (Page.number addr) with
+      | Some p -> Int64.to_int (Bytes.get_int64_le p (Page.offset addr))
+      | None -> 0
+    end
+    else begin
+      let b = read t addr 8 in
+      let v = ref 0L in
+      for i = 7 downto 0 do
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code (Bytes.get b i)))
+      done;
+      Int64.to_int !v
+    end
+
+  let write_i64 t addr v =
+    if single_page addr 8 then begin
+      check t addr 8;
+      let pfn = Page.number addr in
+      let p = materialize t pfn in
+      Bytes.set_int64_le p (Page.offset addr) (Int64.of_int v);
+      ignore (Dirty_log.mark t.dirty pfn)
+    end
+    else begin
+      let b = Bytes.create 8 in
+      let v64 = Int64.of_int v in
+      for i = 0 to 7 do
+        let byte =
+          Int64.to_int (Int64.logand (Int64.shift_right_logical v64 (8 * i)) 0xFFL)
+        in
+        Bytes.set b i (Char.chr byte)
+      done;
+      write t addr b
+    end
+
+  let clear_dirty t = Dirty_log.clear t.dirty
+
+  let page_content t pfn =
+    match Hashtbl.find_opt t.pages pfn with
+    | Some p -> Some (Bytes.copy p)
+    | None -> None
+
+  let set_page t pfn content =
+    if Bytes.length content <> Page.size then
+      invalid_arg "Memory.set_page: wrong page size";
+    match Hashtbl.find_opt t.pages pfn with
+    | Some p -> Bytes.blit content 0 p 0 Page.size
+    | None -> Hashtbl.replace t.pages pfn (Bytes.copy content)
+
+  let drop_page t pfn = Hashtbl.remove t.pages pfn
+
+  let materialized t = Hashtbl.to_seq t.pages
+
+  let materialized_count t = Hashtbl.length t.pages
+end
+
+type mem_op =
+  | Read of int * int
+  | Write of int * string
+  | Read_scalar of int * int (* width 1, 2, 4 or 8 *)
+  | Write_scalar of int * int * int
+  | Page_content of int
+  | Set_page of int * char
+  | Drop_page of int
+  | Clear_dirty
+
+(* 700 pages: three full 256-page leaves of the directory's four. *)
+let mem_pages = 700
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let page_size = Nyx_vm.Page.size in
+  let pfn = int_range 0 (mem_pages - 1) in
+  (* Mostly near page boundaries, sometimes anywhere, sometimes out of
+     range. *)
+  let addr =
+    frequency
+      [
+        (6, map2 (fun p off -> (p * page_size) + off) pfn (int_range (-9) 9));
+        (2, int_range 0 ((mem_pages * page_size) - 1));
+        (1, int_range ((mem_pages * page_size) - 12) ((mem_pages * page_size) + 4));
+        (1, int_range (-8) (-1));
+      ]
+  in
+  frequency
+    [
+      (3, map2 (fun a n -> Read (a, n)) addr (int_range 0 (2 * page_size)));
+      (3, map2 (fun a d -> Write (a, d)) addr (string_size ~gen:char (int_range 0 (page_size + 20))));
+      (4, map2 (fun a w -> Read_scalar (a, w)) addr (oneofl [ 1; 2; 4; 8 ]));
+      (4, map3 (fun a w v -> Write_scalar (a, w, v)) addr (oneofl [ 1; 2; 4; 8 ]) int);
+      (2, map (fun p -> Page_content p) pfn);
+      (2, map2 (fun p c -> Set_page (p, c)) pfn char);
+      (2, map (fun p -> Drop_page p) pfn);
+      (1, return Clear_dirty);
+    ]
+
+let print_mem_op = function
+  | Read (a, n) -> Printf.sprintf "read %d %d" a n
+  | Write (a, d) -> Printf.sprintf "write %d (%d bytes)" a (String.length d)
+  | Read_scalar (a, w) -> Printf.sprintf "read%d %d" (8 * w) a
+  | Write_scalar (a, w, v) -> Printf.sprintf "write%d %d %d" (8 * w) a v
+  | Page_content p -> Printf.sprintf "page-content %d" p
+  | Set_page (p, c) -> Printf.sprintf "set-page %d %C" p c
+  | Drop_page p -> Printf.sprintf "drop-page %d" p
+  | Clear_dirty -> "clear-dirty"
+
+(* Both memories, one op at a time: each op returns the same, and the
+   pages (as a set), their count and the dirty stacks stay equal. *)
+(* domain-safe: the pages are allocated per call of the property. *)
+let prop_page_table_matches_hashtbl =
+  QCheck.Test.make ~name:"page-table memory == Hashtbl-backed reference" ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_mem_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) gen_mem_op))
+    (fun ops ->
+      let module M = Nyx_vm.Memory in
+      let module R = Ref_memory in
+      let m = M.create ~num_pages:mem_pages and r = R.create ~num_pages:mem_pages in
+      let run f g =
+        let got = match f () with v -> Ok v | exception M.Fault { addr; size } -> Error (addr, size)
+        and want = match g () with v -> Ok v | exception R.Fault { addr; size } -> Error (addr, size) in
+        got = want
+      in
+      let page c = Bytes.make Nyx_vm.Page.size c in
+      let pages seq = List.sort compare (List.of_seq (Seq.map (fun (p, b) -> (p, Bytes.to_string b)) seq)) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Read (a, n) -> run (fun () -> M.read m a n) (fun () -> R.read r a n)
+          | Write (a, d) ->
+            run (fun () -> M.write m a (Bytes.of_string d)) (fun () -> R.write r a (Bytes.of_string d))
+          | Read_scalar (a, 1) -> run (fun () -> M.read_u8 m a) (fun () -> R.read_u8 r a)
+          | Read_scalar (a, 2) -> run (fun () -> M.read_u16 m a) (fun () -> R.read_u16 r a)
+          | Read_scalar (a, 4) -> run (fun () -> M.read_i32 m a) (fun () -> R.read_i32 r a)
+          | Read_scalar (a, _) -> run (fun () -> M.read_i64 m a) (fun () -> R.read_i64 r a)
+          | Write_scalar (a, 1, v) -> run (fun () -> M.write_u8 m a v) (fun () -> R.write_u8 r a v)
+          | Write_scalar (a, 2, v) -> run (fun () -> M.write_u16 m a v) (fun () -> R.write_u16 r a v)
+          | Write_scalar (a, 4, v) -> run (fun () -> M.write_i32 m a v) (fun () -> R.write_i32 r a v)
+          | Write_scalar (a, _, v) -> run (fun () -> M.write_i64 m a v) (fun () -> R.write_i64 r a v)
+          | Page_content p -> M.page_content m p = R.page_content r p
+          | Set_page (p, c) ->
+            M.set_page m p (page c);
+            R.set_page r p (page c);
+            true
+          | Drop_page p ->
+            M.drop_page m p;
+            R.drop_page r p;
+            true
+          | Clear_dirty ->
+            M.clear_dirty m;
+            R.clear_dirty r;
+            true)
+          && pages (M.materialized m) = pages (R.materialized r)
+          && M.materialized_count m = R.materialized_count r
+          && Nyx_vm.Dirty_log.to_list (M.dirty m) = Nyx_vm.Dirty_log.to_list r.R.dirty)
+        ops)
 
 (* Restoring netemu state must not allocate on the major heap. Decoding
    a captured image with [Marshal.from_bytes] did: past 256 words the
@@ -1692,5 +2353,11 @@ let () =
             test_peer_suffix_alloc_bound;
           Alcotest.test_case "netemu restore stays minor" `Quick
             test_netemu_restore_stays_minor;
+        ] );
+      ( "host state",
+        [
+          QCheck_alcotest.to_alcotest prop_net_restore_matches_copy;
+          QCheck_alcotest.to_alcotest prop_net_index_matches_reference;
+          QCheck_alcotest.to_alcotest prop_page_table_matches_hashtbl;
         ] );
     ]
